@@ -2,13 +2,10 @@
 
 The forward functor sends a sliced module M to the complex with E(-i)^{dim M_i}
 in position i and differential determined by the multiplication maps,
-entry[r][c] = sum_t sign_t * X_t[r, c] * e_t with sign_t = (-1)^t by default
-(an unsigned convention is available; both square to zero and all ranks and
-tables downstream agree).  The inverse reading peels the multiplication
-maps back off a linear complex with vanishing composition.
+entry[r][c] = sum_t sign_t * X_t[r, c] * e_t with sign_t = (-1)^t.  The
+inverse reading peels the multiplication maps back off a linear complex
+with vanishing composition; it is the round-trip oracle of the tests.
 """
-
-import numpy as np
 
 from . import gfp
 from .errors import DomainError
@@ -58,7 +55,7 @@ class LinearComplex:
         return True
 
 
-def bgg_R(m, signed=True):
+def bgg_R(m):
     """Linear complex of M: rank dim M_i in position i, entries from the
     multiplication maps; the vanishing of the composition is asserted."""
     if m.hi < m.lo:
@@ -78,7 +75,7 @@ def bgg_R(m, signed=True):
                     coeff = int(acts[t][r, c])
                     if coeff == 0:
                         continue
-                    if signed and t % 2 == 1:
+                    if t % 2 == 1:
                         coeff = (-coeff) % alg.p
                     terms[1 << t] = coeff
                 if terms:
@@ -89,7 +86,7 @@ def bgg_R(m, signed=True):
     return cx
 
 
-def bgg_L_read(cx, signed=True):
+def bgg_L_read(cx):
     """Sliced S-module read back off a linear complex.
 
     The multiplication maps are the e_t-coefficient tensors of the
@@ -106,25 +103,12 @@ def bgg_L_read(cx, signed=True):
             mat = gfp.zeros(cx.rank(i + 1), cx.rank(i))
             for (r, c), e in d.entries.items():
                 coeff = e.terms.get(1 << t, 0)
-                if coeff and signed and t % 2 == 1:
+                if coeff and t % 2 == 1:
                     coeff = (-coeff) % cx.alg.p
                 if coeff:
                     mat[r, c] = coeff
             mult[(t, i)] = mat
     return SlicedModule(ring, (cx.lo, cx.hi), dims, mult)
-
-
-def is_linear(f):
-    """True iff every nonzero entry of the graded map has degree -1."""
-    return f.is_linear()
-
-
-def exactness_defect(cx, i):
-    """dim ker(d^i) - dim im(d^{i-1}), summed over the graded slices."""
-    if not (cx.lo < i < cx.hi):
-        raise DomainError("position %d has no two-sided neighborhood in [%d, %d]"
-                          % (i, cx.lo, cx.hi))
-    return graded_map_homology(cx.diff(i - 1), cx.diff(i))
 
 
 def graded_map_homology(din, dout):

@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 
+from . import gfp
 from .errors import DomainError, ParseError, WindowError
 from .extalg import Algebra, DEFAULT_PRIME, parse_element
 from .efree import FreeEModule, GradedMap, format_ematrix, parse_ematrix, vectorize_coker
@@ -18,6 +19,27 @@ from . import eres
 from .smod import SPresentation, parse_smod, slice_presentation, reg_S
 from .tate import cohomology_table, descent, pushforward_check, tate_window, tate_from_point
 from . import paramspace
+
+
+def _prime(text):
+    """Type of -p: a prime within the exact float64 bound of gfp."""
+    try:
+        p = int(text)
+        gfp.check_prime(p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return p
+
+
+def _nonnegative(text):
+    """Type of -n and --seed: an integer >= 0."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected an integer >= 0, got %r" % text)
 
 
 def _parse_window(text):
@@ -269,9 +291,10 @@ def build_parser():
         description="Exact exterior-algebra engine: Tate windows, cohomology "
                     "tables, Betti tables, and (b,b') parameter-space experiments.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-p", "--prime", type=int, default=None,
-                        help="coefficient prime (default %d; file headers "
-                             "supply their own)" % DEFAULT_PRIME)
+    common.add_argument("-p", "--prime", type=_prime, default=None,
+                        help="coefficient prime (default %d); overrides the "
+                             "p= of a file header, which may then omit it"
+                             % DEFAULT_PRIME)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
@@ -330,16 +353,16 @@ def build_parser():
     sp = add("sample", cmd_sample, help="sample a matrix of type (b, b')")
     sp.add_argument("--b", required=True, help="comma list, e.g. 1,3")
     sp.add_argument("--bprime", required=True)
-    sp.add_argument("-n", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("-n", type=_nonnegative, required=True)
+    sp.add_argument("--seed", type=_nonnegative, required=True)
     sp.add_argument("--out", default=None)
 
     sp = add("census", cmd_census, help="sample many points and aggregate tables")
     sp.add_argument("--b", required=True)
     sp.add_argument("--bprime", required=True)
-    sp.add_argument("-n", type=int, required=True)
+    sp.add_argument("-n", type=_nonnegative, required=True)
     sp.add_argument("--trials", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_nonnegative, required=True)
     sp.add_argument("--window", required=True)
     sp.add_argument("--stab-window", type=int, default=None)
     sp.add_argument("--format", choices=["text", "json"], default="json")

@@ -8,8 +8,13 @@ E-modules: a map sends gen_c to sum_r gen_r * entry[r][c], so composition
 is the usual matrix product with entries multiplied on the left of module
 coefficients.
 
-Slice-level data (cokernels, kernels) is held in VectorizedModule: graded
+Slice-level data (cokernels) is held in VectorizedModule: graded
 dimensions plus one GF(p) matrix per variable mapping slice d to d-1.
+FreeEModule and VectorizedModule both expose the e_i action as
+`action(i, d)`, so the resolution engine covers either one.
+
+The `.emat` matrix format shares its parser skeleton, `parse_matrix_file`,
+with the `.smod` format of the S-side.
 """
 
 import numpy as np
@@ -17,7 +22,7 @@ import numpy as np
 from . import gfp
 from .errors import DomainError, ParseError
 from .extalg import (Algebra, ExtElement, format_element, from_coeff_vector,
-                     mask_degree, parse_element)
+                     parse_element)
 
 
 class FreeEModule:
@@ -58,15 +63,7 @@ class FreeEModule:
             self._offsets[d] = tuple(offs)
         return self._offsets[d]
 
-    def slice_basis(self, d):
-        """Basis of the slice as (generator index, monomial mask) pairs."""
-        out = []
-        for r, g in enumerate(self.gen_degrees):
-            for m in self.alg.basis(d - g):
-                out.append((r, m))
-        return out
-
-    def action_matrix(self, i, d):
+    def action(self, i, d):
         """Right multiplication by e_i from slice d to slice d-1."""
         key = (i, d)
         if key not in self._actions:
@@ -78,17 +75,6 @@ class FreeEModule:
                 out[ro[r]:ro[r] + b.shape[0], co[r]:co[r] + b.shape[1]] = b
             self._actions[key] = out
         return self._actions[key]
-
-    def monomial_action(self, mask, d):
-        """Right multiplication by the monomial `mask` from slice d down."""
-        idx = [i for i in range(self.alg.nvars) if mask & (1 << i)]
-        dim = self.slice_dim(d)
-        out = gfp.eye(dim)
-        cur = d
-        for i in idx:
-            out = gfp.matmul(self.action_matrix(i, cur), out, self.alg.p)
-            cur -= 1
-        return out
 
     def element_from_vector(self, d, vec):
         """Slice-d coordinate vector -> list of exterior entries per generator."""
@@ -204,10 +190,6 @@ class GradedMap:
             self.target, self.source, len(self.entries))
 
 
-def zero_map(source, target):
-    return GradedMap(source, target, {})
-
-
 class VectorizedModule:
     """A finite graded E-module: dims per degree plus e_i-action matrices.
 
@@ -253,13 +235,6 @@ class VectorizedModule:
                 cur -= 1
         return out
 
-    def radical_dim(self, d):
-        """dim of (m*M)_d, the span of all e_i images landing in slice d."""
-        cols = [self.action(i, d + 1) for i in range(self.alg.nvars)]
-        if not self.dim(d) or not self.dim(d + 1):
-            return 0
-        return gfp.rank(np.hstack(cols), self.alg.p)
-
     def check(self):
         """Verify the action maps anticommute and square to zero."""
         p = self.alg.p
@@ -287,22 +262,14 @@ def free_as_vectorized(f):
     actions = {}
     for d in range(lo + 1, hi + 1):
         for i in range(f.alg.nvars):
-            actions[(i, d)] = f.action_matrix(i, d)
+            actions[(i, d)] = f.action(i, d)
     return VectorizedModule(f.alg, dims, actions)
 
 
-class QuotientData:
-    """Projection/section pair describing one slice of a quotient."""
-
-    def __init__(self, proj, section):
-        self.proj = proj
-        self.section = section
-
-
 def _quotient_slice(image_cols, amb_dim, p):
-    """Quotient of k^amb by the column space: returns QuotientData."""
+    """Quotient of k^amb by the column space: (projection, section)."""
     if image_cols.shape[1] == 0:
-        return QuotientData(gfp.eye(amb_dim), gfp.eye(amb_dim))
+        return gfp.eye(amb_dim), gfp.eye(amb_dim)
     R, piv = gfp.rref(image_cols.T, p)
     pivset = set(piv)
     free = np.array([c for c in range(amb_dim) if c not in pivset], dtype=np.intp)
@@ -313,7 +280,7 @@ def _quotient_slice(image_cols, amb_dim, p):
         section[free, np.arange(len(free))] = 1.0
         if piv:
             proj[:, np.array(piv, dtype=np.intp)] = np.mod(-R[:len(piv)][:, free].T, p)
-    return QuotientData(proj, section)
+    return proj, section
 
 
 def vectorize_coker(f):
@@ -325,129 +292,23 @@ def vectorize_coker(f):
     p = f.alg.p
     tgt = f.target
     lo, hi = tgt.degree_range()
-    quot = {}
+    projs, sections = {}, {}
     dims = {}
     for d in range(lo, hi + 1):
         amb = tgt.slice_dim(d)
         if amb == 0:
             continue
-        q = _quotient_slice(f.slice_matrix(d), amb, p)
-        quot[d] = q
-        dims[d] = q.proj.shape[0]
+        projs[d], sections[d] = _quotient_slice(f.slice_matrix(d), amb, p)
+        dims[d] = projs[d].shape[0]
     actions = {}
     for d in range(lo + 1, hi + 1):
         if not dims.get(d) or not dims.get(d - 1):
             continue
         for i in range(f.alg.nvars):
-            act = gfp.matmul(quot[d - 1].proj,
-                             gfp.matmul(tgt.action_matrix(i, d), quot[d].section, p), p)
+            act = gfp.matmul(projs[d - 1],
+                             gfp.matmul(tgt.action(i, d), sections[d], p), p)
             actions[(i, d)] = act
     return VectorizedModule(f.alg, dims, actions)
-
-
-class KernelModule:
-    """Graded kernel of a map of free modules, with the inclusion recorded.
-
-    `basis[d]` has the kernel basis vectors as columns in the source free
-    module's slice-d coordinates; `module` carries the induced actions.
-    """
-
-    def __init__(self, ambient, basis, module):
-        self.ambient = ambient
-        self.basis = basis
-        self.module = module
-
-    def dim(self, d):
-        return self.module.dim(d)
-
-
-def kernel_module(f):
-    """Kernel of f computed slice by slice (deterministic nullspace bases)."""
-    p = f.alg.p
-    src = f.source
-    lo, hi = src.degree_range()
-    basis = {}
-    dims = {}
-    for d in range(lo, hi + 1):
-        if src.slice_dim(d) == 0:
-            continue
-        N = gfp.nullspace(f.slice_matrix(d), p)
-        if N.shape[1]:
-            basis[d] = N
-            dims[d] = N.shape[1]
-    actions = {}
-    for d in range(lo + 1, hi + 1):
-        if not dims.get(d) or not dims.get(d - 1):
-            continue
-        for i in range(f.alg.nvars):
-            img = gfp.matmul(src.action_matrix(i, d), basis[d], p)
-            actions[(i, d)] = gfp.solve(basis[d - 1], img, p)
-    mod = VectorizedModule(f.alg, dims, actions)
-    return KernelModule(src, basis, mod)
-
-
-def _submodule_span(target, columns, degree, p, skip=None):
-    """Span at `degree` of the right E-submodule generated by the columns.
-
-    `columns` is a list of (gen_degree, ambient_vector); `skip` omits one.
-    """
-    vecs = []
-    amb = target.slice_dim(degree)
-    for idx, (g, w) in enumerate(columns):
-        if idx == skip:
-            continue
-        need = degree - g
-        for mask in target.alg.basis(need):
-            act = target.monomial_action(mask, g)
-            vecs.append(gfp.matmul(act, w.reshape(-1, 1), p))
-    if not vecs:
-        return gfp.zeros(amb, 0)
-    return np.hstack(vecs)
-
-
-def minimize_presentation(f):
-    """Prune rows of f whose dual column lies in the span of the others.
-
-    Interpreting the columns of f-dual as relations, a column that is an
-    E-combination of the remaining ones is removed; the cokernel of the
-    dual is unchanged.  Requires f to have no nonzero degree-0 entries.
-    """
-    if not f.is_minimal():
-        raise DomainError("minimize_presentation needs a matrix without unit entries")
-    p = f.alg.p
-    fd = f.dual()
-    keep = list(range(fd.source.rank))
-    changed = True
-    while changed and len(keep) > 1:
-        changed = False
-        cols = []
-        for c in keep:
-            g = fd.source.gen_degrees[c]
-            vec = gfp.zeros(fd.target.slice_dim(g), 1)
-            for (r, cc), e in fd.entries.items():
-                if cc != c:
-                    continue
-                off = fd.target.offsets(g)[r]
-                v = e.coeff_vector()
-                vec[off:off + v.size, 0] = v
-            cols.append((g, vec[:, 0]))
-        for local, c in enumerate(keep):
-            g, v = cols[local]
-            span = _submodule_span(fd.target, cols, g, p, skip=local)
-            r0 = gfp.rank(span, p)
-            r1 = gfp.rank(np.hstack([span, v.reshape(-1, 1)]), p)
-            if r1 == r0:
-                keep.pop(local)
-                changed = True
-                break
-    new_tgt = FreeEModule(f.alg, tuple(f.target.gen_degrees[r] for r in keep))
-    ent = {}
-    for new_r, r in enumerate(keep):
-        for c in range(f.source.rank):
-            e = f.entry(r, c)
-            if not e.is_zero:
-                ent[(new_r, c)] = e
-    return GradedMap(f.source, new_tgt, ent)
 
 
 # ---------------------------------------------------------------------------
@@ -476,26 +337,37 @@ def _parse_int_list(text, lineno):
         raise ParseError("bad integer list %r" % text, line=lineno)
 
 
-def parse_ematrix(text, p=None):
-    """Parse the E-matrix format; omitted entries are zero."""
+def parse_matrix_file(text, keyword, make_ring, noun, parse_entry, build, p=None):
+    """Parser skeleton shared by the .emat and .smod matrix formats.
+
+    Lines are a header `<keyword> n=N p=P`, one `rowdegs=[..] coldegs=[..]`
+    line and `entry r c : <noun>` lines; `#` starts a comment and omitted
+    entries are zero.  A given `p` overrides the header prime, which may
+    then be omitted.  make_ring(n, p) builds the coefficient ring (ValueError
+    on a bad n or p), parse_entry(ring, text) one entry (ValueError on junk,
+    None for zero), and build(ring, rowdegs, coldegs, entries) the result
+    (DomainError on inconsistent degrees).  Every error is a ParseError that
+    cites its line.
+    """
     lines = text.splitlines()
-    alg = None
+    ring = None
     rowdegs = coldegs = None
     entries = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("ealg"):
+        if line.startswith(keyword):
             fields = dict(tok.split("=", 1) for tok in line.split()[1:] if "=" in tok)
             try:
                 n = int(fields["n"])
-                fp = int(fields.get("p", p if p is not None else 0) or fields["p"])
-            except (KeyError, ValueError):
+                fp = int(fields.get("p", p))
+            except (KeyError, ValueError, TypeError):
                 raise ParseError("malformed header %r" % line, line=lineno)
-            if p is not None:
-                fp = p
-            alg = Algebra(n, fp)
+            try:
+                ring = make_ring(n, fp if p is None else p)
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno)
         elif line.startswith("rowdegs="):
             try:
                 rpart, cpart = line.split("coldegs=")
@@ -504,12 +376,12 @@ def parse_ematrix(text, p=None):
             rowdegs = _parse_int_list(rpart.split("=", 1)[1], lineno)
             coldegs = _parse_int_list(cpart, lineno)
         elif line.startswith("entry"):
-            if alg is None or rowdegs is None:
+            if ring is None or rowdegs is None:
                 raise ParseError("entry before header", line=lineno)
             head, _, expr = line.partition(":")
             toks = head.split()
             if len(toks) != 3:
-                raise ParseError("expected 'entry r c : <element>'", line=lineno)
+                raise ParseError("expected 'entry r c : <%s>'" % noun, line=lineno)
             try:
                 r, c = int(toks[1]), int(toks[2])
             except ValueError:
@@ -518,16 +390,30 @@ def parse_ematrix(text, p=None):
                 raise ParseError("entry (%d,%d) outside %dx%d matrix"
                                  % (r, c, len(rowdegs), len(coldegs)), line=lineno)
             try:
-                el = parse_element(alg, expr)
+                val = parse_entry(ring, expr)
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno)
-            if not el.is_zero:
-                entries[(r, c)] = el
+            if val is not None:
+                entries[(r, c)] = val
         else:
             raise ParseError("unrecognized line %r" % line, line=lineno)
-    if alg is None or rowdegs is None or coldegs is None:
-        raise ParseError("missing ealg header or degree lists", line=len(lines))
+    if ring is None or rowdegs is None or coldegs is None:
+        raise ParseError("missing %s header or degree lists" % keyword, line=len(lines))
     try:
-        return GradedMap(FreeEModule(alg, coldegs), FreeEModule(alg, rowdegs), entries)
+        return build(ring, rowdegs, coldegs, entries)
     except DomainError as exc:
         raise ParseError(str(exc), line=len(lines))
+
+
+def _parse_nonzero_element(alg, text):
+    el = parse_element(alg, text)
+    return None if el.is_zero else el
+
+
+def parse_ematrix(text, p=None):
+    """Parse the E-matrix format (header keyword `ealg`)."""
+    return parse_matrix_file(
+        text, "ealg", Algebra, "element", _parse_nonzero_element,
+        lambda alg, rowdegs, coldegs, entries: GradedMap(
+            FreeEModule(alg, coldegs), FreeEModule(alg, rowdegs), entries),
+        p=p)

@@ -2,8 +2,12 @@
 
 Two independent engines compute graded Betti numbers:
 
-* the resolution engine: minimal covers and slice-wise kernels, step by
-  step; beta_{i,j} = number of generators of F_i in degree j;
+* the resolution engine `Resolver`, the one loop that covers a kernel by
+  minimal generators, step by step, from slice-wise nullspaces.  It
+  resolves a VectorizedModule (step 0 is a minimal cover of the module)
+  or the kernel of a GradedMap (`resolve_kernel_steps`, which splices the
+  resolution onto the map's source); beta_{i,j} = number of generators of
+  F_i in degree j;
 * the Koszul-type oracle `betti_cartan`: the dimension of the middle
   homology of  G_{i+1} (x) M_{j+i+1} -> G_i (x) M_{j+i} -> G_{i-1} (x) M_{j+i-1}
   where G_i is the i-th divided power of the variable space (dimensions
@@ -74,27 +78,6 @@ class BettiTable:
                          for row in grid)
 
 
-class ResolutionWindow:
-    """Steps F_{i+1} -> F_i of a minimal free resolution, plus the module."""
-
-    def __init__(self, module, frees, steps, terminated):
-        self.module = module
-        self.frees = frees
-        self.steps = steps
-        self.terminated = terminated
-
-    @property
-    def length(self):
-        return len(self.frees) - 1
-
-    def betti_table(self):
-        entries = {}
-        for i, f in enumerate(self.frees):
-            for g in f.gen_degrees:
-                entries[(i, g)] = entries.get((i, g), 0) + 1
-        return BettiTable(entries)
-
-
 def _slice_kernel(phi):
     """Per-degree nullspace bases of a GradedMap's slice matrices."""
     ker = {}
@@ -120,7 +103,7 @@ def _kernel_generators(alg, amb, ker):
         basis = ker[d]
         up = ker.get(d + 1)
         if up is not None:
-            rad_cols = [gfp.matmul(amb.action_matrix(i, d + 1), up, alg.p)
+            rad_cols = [gfp.matmul(amb.action(i, d + 1), up, alg.p)
                         for i in range(alg.nvars)]
             rad = np.hstack(rad_cols)
         else:
@@ -144,12 +127,15 @@ def _map_from_ambient_vectors(alg, amb, gens):
 
 
 class Resolver:
-    """Incremental minimal free resolution of a VectorizedModule.
+    """Incremental minimal free resolution, covering one kernel per step.
 
-    Step 0 picks minimal generators of the module (a basis of M modulo the
-    span of all e_i images); each later step covers the slice-wise kernel
-    of the previous map.  All choices run through the deterministic
-    echelon pivoting in gfp, so reruns reproduce the same matrices.
+    `Resolver(module)` resolves a VectorizedModule: step 0 picks minimal
+    generators of the module (a basis of M modulo the span of all e_i
+    images) and each later step covers the slice-wise kernel of the
+    previous map.  `Resolver.of_kernel(phi)` starts from frees = [source of
+    phi] and the kernel of phi, so its steps resolve ker(phi).  All choices
+    run through the deterministic echelon pivoting in gfp, so reruns
+    reproduce the same matrices.
     """
 
     def __init__(self, module):
@@ -162,23 +148,23 @@ class Resolver:
         self.terminated = False
         self._ker = None  # dict degree -> basis columns in frees[-1] coords
 
+    @classmethod
+    def of_kernel(cls, phi):
+        """Resolver of ker(phi), seeded with F_0 = source(phi)."""
+        res = cls.__new__(cls)
+        res.module = None
+        res.alg = phi.alg
+        res.frees = [phi.source]
+        res.steps = []
+        res.terminated = False
+        res._ker = _slice_kernel(phi)
+        return res
+
     def _cover_module(self):
         m = self.module
         lo, hi = m.support()
-        gens = []
-        for d in range(hi, lo - 1, -1):
-            dim = m.dim(d)
-            if not dim:
-                continue
-            if m.dim(d + 1):
-                rad = np.hstack([m.action(i, d + 1) for i in range(self.alg.nvars)])
-            else:
-                rad = gfp.zeros(dim, 0)
-            idx = gfp.extend_column_basis(rad, gfp.eye(dim), self.alg.p)
-            for c in idx:
-                v = gfp.zeros(dim, 1)
-                v[c, 0] = 1.0
-                gens.append((d, v[:, 0]))
+        units = {d: gfp.eye(m.dim(d)) for d in range(lo, hi + 1) if m.dim(d)}
+        gens = _kernel_generators(self.alg, m, units)
         f0 = FreeEModule(self.alg, tuple(g for g, _ in gens))
         self.frees.append(f0)
         ker = {}
@@ -208,32 +194,37 @@ class Resolver:
             self.terminated = True
             return ()
         phi = _map_from_ambient_vectors(self.alg, self.frees[-1], gens)
-        if not phi.is_minimal():
+        # Past a minimal cover every syzygy lies in m*F, so a unit entry is a
+        # bug.  The first cover of a kernel seed may have units: its caller
+        # reports them.
+        if (self.module is not None or self.steps) and not phi.is_minimal():
             raise DomainError("internal: non-minimal syzygy step")
         self.steps.append(phi)
         self.frees.append(phi.source)
         self._ker = _slice_kernel(phi)
         return phi.source.gen_degrees
 
-    def window(self):
-        return ResolutionWindow(self.module, list(self.frees), list(self.steps),
-                                self.terminated)
+    def extend(self, steps):
+        """Run up to `steps` more steps, stopping once the resolution ends."""
+        for _ in range(steps):
+            self.step()
+            if self.terminated:
+                break
+        return self
+
+    def betti_table(self):
+        entries = {}
+        for i, f in enumerate(self.frees):
+            for g in f.gen_degrees:
+                entries[(i, g)] = entries.get((i, g), 0) + 1
+        return BettiTable(entries)
 
 
 def minimal_free_resolution(m, i_max):
     """Resolve m through homological step i_max (F_0 .. F_{i_max})."""
     if i_max < 0:
         raise DomainError("need i_max >= 0")
-    res = Resolver(m)
-    for _ in range(i_max + 1):
-        res.step()
-        if res.terminated:
-            break
-    return res.window()
-
-
-def betti_table(window):
-    return window.betti_table()
+    return Resolver(m).extend(i_max + 1)
 
 
 def resolve_kernel_steps(phi, steps):
@@ -242,19 +233,7 @@ def resolve_kernel_steps(phi, steps):
     Returns [g_1, g_2, ...] where g_1 : G_1 -> source(phi) covers ker(phi)
     minimally and each later map covers the kernel of the previous one.
     """
-    out = []
-    alg = phi.alg
-    ker = _slice_kernel(phi)
-    amb = phi.source
-    for _ in range(steps):
-        gens = _kernel_generators(alg, amb, ker)
-        if not gens:
-            break
-        g = _map_from_ambient_vectors(alg, amb, gens)
-        out.append(g)
-        ker = _slice_kernel(g)
-        amb = g.source
-    return out
+    return Resolver.of_kernel(phi).extend(steps).steps
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +352,8 @@ def regularity(m, stab_window=None, max_steps=200, stop_below=None):
     if m.is_zero:
         raise DomainError("regularity of the zero module is undefined")
     w = stab_window if stab_window is not None else default_stab_window(m.alg)
+    if w < 1:
+        raise DomainError("stabilization window must be at least 1 step, got %d" % w)
     res = Resolver(m)
     tops = []
     for i in range(max_steps + 1):
@@ -388,12 +369,6 @@ def regularity(m, stab_window=None, max_steps=200, stop_below=None):
         if len(tops) > w and all(t == tops[-1] for t in tops[-w - 1:]):
             return RegularityResult(top, True, i, tops)
     return RegularityResult(tops[-1], False, max_steps, tops)
-
-
-def regularity_with_betti(window):
-    """Top row of an already-computed resolution window (no certification)."""
-    table = window.betti_table()
-    return max(r for r in table.rows())
 
 
 # ---------------------------------------------------------------------------

@@ -16,25 +16,11 @@ from . import gfp
 DEFAULT_PRIME = 32003
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 class FieldContext:
     """The prime field GF(p); all scalar arithmetic is reduced mod p."""
 
     def __init__(self, p=DEFAULT_PRIME):
-        if not _is_prime(p):
-            raise ValueError("modulus %r is not prime" % (p,))
+        gfp.check_prime(p)
         self.p = p
 
     def __eq__(self, other):
@@ -281,14 +267,6 @@ def from_coeff_vector(alg, d, vec):
         if c:
             terms[basis[i]] = c
     return ExtElement(alg, terms)
-
-
-def graded_dim(alg, j, e):
-    """dim E(-j)_e = C(n+1, j-e), zero outside 0 <= j-e <= n+1."""
-    k = j - e
-    if 0 <= k <= alg.nvars:
-        return math.comb(alg.nvars, k)
-    return 0
 
 
 def random_element(alg, degree, rng):

@@ -1,16 +1,40 @@
 """Exact dense linear algebra over the prime field GF(p).
 
 Matrices are numpy float64 arrays whose entries are integers in [0, p).
-All arithmetic is exact: products stay below (p-1)^2 < 2^30 for p ~ 32003,
-and accumulated dot products are kept under 2^53 by chunking, so BLAS
-matmul gives exact integer results.  Elimination uses deterministic
-first-nonzero pivoting (fixed panel size), so echelon forms, kernels and
-chosen generators are reproducible run to run.
+All arithmetic is exact as long as (p-1)^2 < 2^53: every product of two
+residues is then an integer that float64 represents exactly, and matmul
+chunks its inner dimension so accumulated dot products stay below 2^53
+as well (Dumas-Giorgi-Pernet, ACM TOMS 2008).  `check_prime` enforces the
+bound; the largest accepted prime is 94,906,249.  Elimination uses
+deterministic first-nonzero pivoting (fixed panel size), so echelon
+forms, kernels and chosen generators are reproducible run to run.
 """
 
 import numpy as np
 
 _PANEL = 64
+
+
+def _is_prime(n):
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def check_prime(p):
+    """Raise ValueError unless p is a prime this module computes with exactly."""
+    if not _is_prime(p):
+        raise ValueError("modulus %r is not prime" % (p,))
+    if (p - 1) ** 2 >= 1 << 53:
+        raise ValueError("modulus %d is too large: (p-1)^2 must stay below 2^53 "
+                         "for exact float64 elimination" % p)
 
 
 def _mod(a, p):
@@ -130,9 +154,6 @@ def echelon(a, p):
             if pr + k < m:
                 A[pr + k:, c0 + b:] = _mod_pm(
                     A[pr + k:, c0 + b:] - matmul(mu[k:, :k], utr, p), p)
-        elif k:
-            # no trailing columns; pivot rows still need their normalization
-            pass
         pr += k
         c0 += b
     return A, pivcols
@@ -186,39 +207,6 @@ def nullspace(a, p):
     return N
 
 
-def solve(a, b, p):
-    """One exact solution X of a @ X = b (free variables set to 0).
-
-    Raises ValueError when the system is inconsistent.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    m, n = a.shape
-    R, piv = rref(np.hstack([as_gf(a, p), as_gf(b, p)]), p)
-    if any(c >= n for c in piv):
-        raise ValueError("inconsistent linear system over GF(%d)" % p)
-    X = zeros(n, b.shape[1])
-    if piv:
-        X[np.array(piv, dtype=np.intp), :] = R[:len(piv), n:]
-    return X
-
-
-def inv(a, p):
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    m, n = a.shape
-    if m != n:
-        raise ValueError("matrix not square")
-    X = solve(a, eye(n), p)
-    if rank(a, p) != n:
-        raise ValueError("matrix not invertible mod %d" % p)
-    return X
-
-
-def pivot_columns(a, p):
-    """Indices of the greedy left-to-right independent columns."""
-    return echelon(a, p)[1]
-
-
 def extend_column_basis(base, cand, p):
     """Indices of candidate columns that extend the column space of `base`.
 
@@ -227,7 +215,7 @@ def extend_column_basis(base, cand, p):
     base = np.atleast_2d(np.asarray(base, dtype=np.float64))
     cand = np.atleast_2d(np.asarray(cand, dtype=np.float64))
     w = base.shape[1]
-    piv = pivot_columns(np.hstack([base, cand]), p)
+    piv = echelon(np.hstack([base, cand]), p)[1]
     return [c - w for c in piv if c >= w]
 
 

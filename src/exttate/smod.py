@@ -15,8 +15,8 @@ import numpy as np
 
 from . import gfp
 from .errors import DomainError, ParseError, WindowError
-from .extalg import _is_prime, _signed_chunks
-from .efree import _quotient_slice
+from .extalg import _signed_chunks
+from .efree import _quotient_slice, parse_matrix_file
 
 
 class PolyRing:
@@ -25,8 +25,7 @@ class PolyRing:
     def __init__(self, n, p):
         if n < 0:
             raise ValueError("need n >= 0")
-        if not _is_prime(p):
-            raise ValueError("modulus %r is not prime" % (p,))
+        gfp.check_prime(p)
         self.n = n
         self.p = p
         self.nvars = n + 1
@@ -265,15 +264,15 @@ def slice_presentation(pres, window):
                         col[offs[r] + idx[e2], 0] = coeff
                 cols.append(col)
         image = np.hstack(cols) if cols else gfp.zeros(amb, 0)
-        q = _quotient_slice(image, amb, p)
-        quot[d] = (q, offs)
-        dims[d] = q.proj.shape[0]
+        proj, section = _quotient_slice(image, amb, p)
+        quot[d] = (proj, section, offs)
+        dims[d] = proj.shape[0]
     mult = {}
     for d in range(lo, hi):
-        q0, offs0 = quot[d]
-        q1, offs1 = quot[d + 1]
-        amb0 = q0.section.shape[0]
-        amb1 = q1.proj.shape[1]
+        _, section0, offs0 = quot[d]
+        proj1, _, offs1 = quot[d + 1]
+        amb0 = section0.shape[0]
+        amb1 = proj1.shape[1]
         for i in range(ring.nvars):
             shift = gfp.zeros(amb1, amb0)
             for r, g in enumerate(pres.row_degrees):
@@ -283,7 +282,7 @@ def slice_presentation(pres, window):
                     e2 = list(e)
                     e2[i] += 1
                     shift[offs1[r] + tgt_index[tuple(e2)], offs0[r] + cpos] = 1.0
-            mult[(i, d)] = gfp.matmul(q1.proj, gfp.matmul(shift, q0.section, p), p)
+            mult[(i, d)] = gfp.matmul(proj1, gfp.matmul(shift, section0, p), p)
     complete = (not pres.row_degrees) or lo <= min(pres.row_degrees)
     return SlicedModule(ring, (lo, hi), dims, mult, complete_below=complete)
 
@@ -433,59 +432,11 @@ def format_smod(pres):
     return "\n".join(lines) + "\n"
 
 
-def parse_smod(text, p=None):
-    from .efree import _parse_int_list
+def _parse_nonzero_poly(ring, text):
+    return parse_poly(ring, text) or None
 
-    lines = text.splitlines()
-    ring = None
-    rowdegs = coldegs = None
-    entries = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("ring"):
-            fields = dict(tok.split("=", 1) for tok in line.split()[1:] if "=" in tok)
-            try:
-                n = int(fields["n"])
-                fp = int(fields["p"])
-            except (KeyError, ValueError):
-                raise ParseError("malformed header %r" % line, line=lineno)
-            if p is not None:
-                fp = p
-            ring = PolyRing(n, fp)
-        elif line.startswith("rowdegs="):
-            try:
-                rpart, cpart = line.split("coldegs=")
-            except ValueError:
-                raise ParseError("expected 'rowdegs=[..] coldegs=[..]'", line=lineno)
-            rowdegs = _parse_int_list(rpart.split("=", 1)[1], lineno)
-            coldegs = _parse_int_list(cpart, lineno)
-        elif line.startswith("entry"):
-            if ring is None or rowdegs is None:
-                raise ParseError("entry before header", line=lineno)
-            head, _, expr = line.partition(":")
-            toks = head.split()
-            if len(toks) != 3:
-                raise ParseError("expected 'entry r c : <polynomial>'", line=lineno)
-            try:
-                r, c = int(toks[1]), int(toks[2])
-            except ValueError:
-                raise ParseError("bad entry indices %r" % head, line=lineno)
-            if not (0 <= r < len(rowdegs) and 0 <= c < len(coldegs)):
-                raise ParseError("entry (%d,%d) outside %dx%d matrix"
-                                 % (r, c, len(rowdegs), len(coldegs)), line=lineno)
-            try:
-                poly = parse_poly(ring, expr)
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno)
-            if poly:
-                entries[(r, c)] = poly
-        else:
-            raise ParseError("unrecognized line %r" % line, line=lineno)
-    if ring is None or rowdegs is None or coldegs is None:
-        raise ParseError("missing ring header or degree lists", line=len(lines))
-    try:
-        return SPresentation(ring, rowdegs, coldegs, entries)
-    except DomainError as exc:
-        raise ParseError(str(exc), line=len(lines))
+
+def parse_smod(text, p=None):
+    """Parse the S-module format (header keyword `ring`)."""
+    return parse_matrix_file(text, "ring", PolyRing, "polynomial", _parse_nonzero_poly,
+                             SPresentation, p=p)

@@ -177,13 +177,13 @@ def cohomology_table(window):
     return CohomologyTable(n, window.lo, window.hi, gamma, anomalies)
 
 
-def tate_window(m, lo, hi, start=None, check=True):
+def tate_window(m, lo, hi, start=None):
     """Tate resolution window of the sheaf associated to a sliced module.
 
     Positions >= k0 are the BGG complex of the truncation at k0 (which is
     reg_S(m) unless `start` overrides); positions below come from minimal
     free resolution steps of ker of the first differential.  Exactness and
-    minimality over the whole window are verified unless check=False.
+    minimality over the whole window are always verified.
     """
     if lo > hi:
         raise DomainError("empty window [%d, %d]" % (lo, hi))
@@ -209,13 +209,12 @@ def tate_window(m, lo, hi, start=None, check=True):
             modules[k] = FreeEModule(cx.alg, ())
     win = TateWindow(cx.alg, lo, hi, {k: v for k, v in modules.items() if lo <= k <= hi},
                      {k: v for k, v in diffs.items() if lo <= k <= hi - 1}, k0)
-    if check:
-        win.check_minimal()
-        win.check_exact()
+    win.check_minimal()
+    win.check_exact()
     return win
 
 
-def tate_from_point(phi, lo, hi, check=True, require_sheaf=True):
+def tate_from_point(phi, lo, hi, require_sheaf=True):
     """Tate window in which phi is the 0th differential.
 
     The right part dualizes a minimal free resolution of coker(phi-dual)
@@ -255,9 +254,8 @@ def tate_from_point(phi, lo, hi, check=True, require_sheaf=True):
         modules[k] = FreeEModule(alg, ())
     win = TateWindow(alg, lo, hi, {k: v for k, v in modules.items() if lo <= k <= hi},
                      {k: v for k, v in diffs.items() if lo <= k <= hi - 1}, 0)
-    if check:
-        win.check_minimal()
-        win.check_exact()
+    win.check_minimal()
+    win.check_exact()
     if require_sheaf:
         table = cohomology_table(win)
         if table.anomalies:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from exttate.errors import DomainError
-from exttate.bgg import bgg_L_read, bgg_R, exactness_defect, is_linear
+from exttate.bgg import bgg_L_read, bgg_R, graded_map_homology
 from exttate.extalg import Algebra, parse_element
 from exttate.efree import FreeEModule, GradedMap
 from exttate.smod import (PolyRing, SPresentation, parse_poly, reg_S,
@@ -51,25 +51,6 @@ def test_round_trip():
             assert np.array_equal(back.action(t, d), m.action(t, d))
 
 
-def test_round_trip_unsigned_convention():
-    m = cubic_sliced((0, 5))
-    back = bgg_L_read(bgg_R(m, signed=False), signed=False)
-    assert back.hilbert() == m.hilbert()
-    for d in range(0, 5):
-        for t in range(3):
-            assert np.array_equal(back.action(t, d), m.action(t, d))
-
-
-def test_sign_conventions_same_ranks():
-    m = cubic_sliced((0, 5))
-    a = bgg_R(m, signed=True)
-    b = bgg_R(m, signed=False)
-    for i in range(0, 5):
-        assert a.rank(i) == b.rank(i)
-    for i in range(1, 4):
-        assert exactness_defect(a, i) == exactness_defect(b, i)
-
-
 def test_broken_complex_rejected():
     alg = Algebra(1)
     f0 = FreeEModule(alg, (0,))
@@ -87,11 +68,11 @@ def test_is_linear():
     alg = Algebra(2)
     lin = GradedMap(FreeEModule(alg, (0,)), FreeEModule(alg, (1,)),
                     {(0, 0): parse_element(alg, "e0")})
-    assert is_linear(lin)
+    assert lin.is_linear()
     quad = GradedMap(FreeEModule(alg, (-1,)), FreeEModule(alg, (1,)),
                      {(0, 0): parse_element(alg, "e0*e1")})
-    assert not is_linear(quad)
-    assert is_linear(GradedMap(FreeEModule(alg, (0,)), FreeEModule(alg, (1,)), {}))
+    assert not quad.is_linear()
+    assert GradedMap(FreeEModule(alg, (0,)), FreeEModule(alg, (1,)), {}).is_linear()
 
 
 def test_exactness_defect_cubic_beyond_regularity():
@@ -99,7 +80,7 @@ def test_exactness_defect_cubic_beyond_regularity():
     r = reg_S(m)
     cx = bgg_R(truncate(m, r))
     for i in range(r + 1, 6):
-        assert exactness_defect(cx, i) == 0
+        assert graded_map_homology(cx.diff(i - 1), cx.diff(i)) == 0
 
 
 def test_exactness_defect_zero_differentials():
@@ -112,13 +93,16 @@ def test_exactness_defect_zero_differentials():
     from exttate.smod import SlicedModule
     z = SlicedModule(ring, (0, 2), dims, {})
     cx = bgg_R(z)
-    assert exactness_defect(cx, 1) > 0
+    assert graded_map_homology(cx.diff(0), cx.diff(1)) > 0
 
 
 def test_out_of_range_position():
-    m = S_sliced(1, (0, 2))
-    cx = bgg_R(m)
+    """Homology of a BGG complex is asked at interior positions only."""
+    from exttate.tate import TateWindow
+    cx = bgg_R(S_sliced(1, (0, 2)))
+    win = TateWindow(cx.alg, cx.lo, cx.hi, cx.modules, cx.diffs, cx.lo)
+    assert win.exactness_defect(1) == 0
     with pytest.raises(DomainError):
-        exactness_defect(cx, 0)
+        win.exactness_defect(0)
     with pytest.raises(DomainError):
-        exactness_defect(cx, 2)
+        win.exactness_defect(2)

@@ -130,3 +130,32 @@ def test_tate_listing(capsys, cubic_file):
     code, out, _ = run(capsys, "tate", "--module", cubic_file, "--window", "-1..2")
     assert code == 0
     assert "T^0" in out and "E(1)^3" in out
+
+
+@pytest.mark.parametrize("argv, files, want", [
+    (["betti", "--ematrix", "{pt}", "-p", "4"], {}, 2),
+    (["betti", "--ematrix", "{pt}", "-p", str(2 ** 31 - 1)], {}, 2),
+    (["betti", "--ematrix", "{bad}"], {"bad.emat": POINT.replace("p=32003", "p=4")}, 2),
+    (["cohomology", "--module", "{bad}", "--window", "-1..1"],
+     {"bad.smod": CUBIC.replace("p=32003", "p=9")}, 2),
+    (["mccullough", "--ell", "2", "-p", "4"], {}, 2),
+    (["sample", "--b", "1", "--bprime", "1", "-n", "-1", "--seed", "0"], {}, 2),
+    (["census", "--b", "1", "--bprime", "1", "-n", "2", "--trials", "1",
+      "--seed", "-1", "--window", "-1..1"], {}, 2),
+    (["reg", "--ematrix", "{pt}", "--stab-window", "0"], {}, 1),
+], ids=["p-not-prime", "p-above-bound", "emat-header-p", "smod-header-p", "mccullough-p",
+        "sample-negative-n", "census-negative-seed", "stab-window-zero"])
+def test_bad_input_exits_without_traceback(capsys, tmp_path, point_file, argv, files, want):
+    paths = {"pt": point_file}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        paths["bad"] = str(tmp_path / name)
+    try:
+        code = main([a.format(**paths) for a in argv])
+    except SystemExit as exc:  # argparse rejects bad option values
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == want
+    assert "Traceback" not in err
+    if files:
+        assert "line 1" in err

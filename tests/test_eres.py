@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import quotient_by, residue_field, module_corpus
+from exttate.bgg import graded_map_homology
 from exttate.errors import DomainError
-from exttate.extalg import Algebra, ExtElement, parse_element
-from exttate.efree import FreeEModule, free_as_vectorized
+from exttate.extalg import Algebra, ExtElement, parse_element, random_element
+from exttate.efree import FreeEModule, GradedMap, free_as_vectorized, vectorize_coker
 from exttate.eres import (CartanScanner, alpha, alpha_hilbert_rhs, betti_cartan,
-                          cone_extend, minimal_free_resolution, regularity)
+                          cone_extend, minimal_free_resolution, regularity,
+                          resolve_kernel_steps)
 
 P = 32003
 
@@ -102,6 +105,15 @@ def test_regularity_zero_module_rejected():
         regularity(VectorizedModule(alg, {}, {}))
 
 
+def test_regularity_rejects_stab_window_below_one():
+    alg = Algebra(1)
+    m = quotient_by(alg, [parse_element(alg, "e0*e1")])
+    for w in (0, -1):
+        with pytest.raises(DomainError):
+            regularity(m, stab_window=w)
+    assert regularity(m, stab_window=1).certified
+
+
 def test_regularity_stop_below():
     alg1 = Algebra(1)
     m1 = quotient_by(alg1, [parse_element(alg1, "e0*e1")])
@@ -183,3 +195,47 @@ def test_cone_extend_preserves_betti_and_alpha():
     assert regm.certified and regc.certified and regm.value == regc.value
     for k in range(lo, hi + 1):
         assert alpha(m, k, reg=regm, scanner=sm) == alpha(c, k, reg=regc, scanner=sc)
+
+
+@st.composite
+def small_graded_maps(draw):
+    """Random homogeneous maps over n <= 2 and p in {2, 3, 101}, unit entries
+    included, so both minimal and non-minimal presentations occur."""
+    n = draw(st.integers(0, 2))
+    p = draw(st.sampled_from([2, 3, 101]))
+    alg = Algebra(n, p)
+    tgt = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    src = draw(st.lists(st.integers(-alg.nvars, 1), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    entries = {}
+    for r, gt in enumerate(tgt):
+        for c, gs in enumerate(src):
+            d = gs - gt
+            if -alg.nvars <= d <= 0:
+                entries[(r, c)] = random_element(alg, d, rng)
+    return GradedMap(FreeEModule(alg, tuple(src)), FreeEModule(alg, tuple(tgt)), entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graded_maps())
+def test_resolver_betti_matches_cartan_property(phi):
+    m = vectorize_coker(phi)
+    if m.is_zero:
+        return
+    bt = minimal_free_resolution(m, 3).betti_table()
+    sc = CartanScanner(m)
+    lo, hi = m.support()
+    for i in range(4):
+        for j in range(lo - i, hi - i + 1):
+            assert sc.betti(i, j) == bt.get(i, j), (i, j)
+    assert all(0 <= i <= 3 and lo - i <= j <= hi - i for i, j in bt.entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graded_maps())
+def test_kernel_steps_splice_exactly_property(phi):
+    maps = resolve_kernel_steps(phi, 3)
+    chain = [phi] + maps
+    for dout, din in zip(chain, chain[1:]):
+        assert din.target == dout.source
+        assert graded_map_homology(din, dout) == 0

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exttate.extalg import (Algebra, ExtElement, FieldContext, format_element,
-                            graded_dim, mono_mul, parse_element, random_element)
+                            mono_mul, parse_element, random_element)
+from exttate.smod import PolyRing
 
 
 def E(alg, i):
@@ -17,8 +18,14 @@ def E(alg, i):
 def test_field_context_requires_prime():
     FieldContext(2)
     FieldContext(32003)
+    FieldContext(94906249)  # the largest prime with (p-1)^2 < 2^53
     with pytest.raises(ValueError):
         FieldContext(32001)
+    for too_large in (94906267, 2 ** 31 - 1):
+        with pytest.raises(ValueError):
+            FieldContext(too_large)
+        with pytest.raises(ValueError):
+            PolyRing(1, too_large)
 
 
 def test_mono_mul_signs():
@@ -39,17 +46,17 @@ def test_elem_mul_cross_terms():
     assert (E(alg, 0) * (E(alg, 0) * E(alg, 1))).is_zero
 
 
-def test_graded_dim_values():
+def test_algebra_dim_values():
     alg2 = Algebra(2)
-    assert graded_dim(alg2, 0, -1) == 3
-    assert graded_dim(alg2, 0, 1) == 0
-    assert graded_dim(Algebra(1), 1, -1) == math.comb(2, 2)
+    assert alg2.dim(-1) == 3
+    assert alg2.dim(1) == 0
+    assert Algebra(1).dim(-2) == math.comb(2, 2)
 
 
-def test_graded_dim_total():
+def test_algebra_dim_total():
     for n in range(0, 5):
         alg = Algebra(n)
-        total = sum(graded_dim(alg, 0, e) for e in range(-(n + 1), 1))
+        total = sum(alg.dim(e) for e in range(-(n + 1), 1))
         assert total == 2 ** (n + 1)
 
 

@@ -49,7 +49,7 @@ def test_rref_matches_naive(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_nullspace_and_solve(data):
+def test_nullspace_basis(data):
     p = data.draw(st.sampled_from(PRIMES))
     m = data.draw(st.integers(1, 6))
     n = data.draw(st.integers(1, 6))
@@ -59,18 +59,6 @@ def test_nullspace_and_solve(data):
     assert N.shape[1] == n - gfp.rank(A, p)
     if N.shape[1]:
         assert not gfp.matmul(A, N, p).any()
-    X0 = gfp.random_matrix(n, 2, p, rng)
-    B = gfp.matmul(A, X0, p)
-    X = gfp.solve(A, B, p)
-    assert np.array_equal(gfp.matmul(A, X, p), B)
-
-
-def test_solve_inconsistent_raises():
-    p = 101
-    A = np.array([[1.0, 2.0], [2.0, 4.0]])
-    B = np.array([[1.0], [3.0]])
-    with pytest.raises(ValueError):
-        gfp.solve(A, B, p)
 
 
 def test_blocked_path_crosses_panels():
@@ -85,17 +73,6 @@ def test_blocked_path_crosses_panels():
     R, piv = gfp.rref(A, p)
     R2, piv2 = naive_rref(A, p)
     assert piv == piv2 and np.array_equal(R, R2)
-
-
-def test_inv_round_trip():
-    p = 101
-    rng = np.random.default_rng(3)
-    while True:
-        A = gfp.random_matrix(6, 6, p, rng)
-        if gfp.rank(A, p) == 6:
-            break
-    Ainv = gfp.inv(A, p)
-    assert np.array_equal(gfp.matmul(A, Ainv, p), gfp.eye(6))
 
 
 def test_extend_column_basis_greedy():
@@ -115,3 +92,22 @@ def test_matmul_chunking_exact():
     got = gfp.matmul(a, b, p)
     want = (a.astype(object) @ b.astype(object)) % p
     assert np.array_equal(got, want.astype(float))
+
+
+def test_rank_matches_sympy_at_largest_accepted_prime():
+    """At the float64 bound, products of residues come within 2^32 of 2^53;
+    elimination must still agree with exact GF(p) arithmetic on rank-5
+    products built in exact integers."""
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    p = 94906249
+    gfp.check_prime(p)
+    field = GF(p)
+    rng = np.random.default_rng(31)
+    for _ in range(25):
+        a = rng.integers(0, p, size=(6, 5)).astype(object)
+        b = rng.integers(0, p, size=(5, 6)).astype(object)
+        A = (a @ b) % p
+        exact = DomainMatrix([[field(int(v)) for v in row] for row in A], (6, 6), field)
+        assert gfp.rank(A.astype(np.float64), p) == exact.rank()

@@ -139,6 +139,13 @@ def test_smod_round_trip_and_errors():
     with pytest.raises(ParseError) as err:
         parse_smod("ring n=2 p=32003\nrowdegs=[0] coldegs=[2]\nentry 0 0 : y0\n")
     assert err.value.line == 3
+    with pytest.raises(ParseError) as err:
+        parse_smod("ring n=2 p=9\nrowdegs=[0] coldegs=[]\n")
+    assert err.value.line == 1
+    # as in .emat files, a given prime lets the header omit p=
+    assert parse_smod("ring n=2\nrowdegs=[0] coldegs=[]\n", p=101).ring.p == 101
+    with pytest.raises(ParseError):
+        parse_smod("ring n=2\nrowdegs=[0] coldegs=[]\n")
 
 
 def test_poly_parse_rejects():
