@@ -32,7 +32,7 @@ def _prime(text):
 
 
 def _nonnegative(text):
-    """Type of -n and --seed: an integer >= 0."""
+    """Type of -n, --seed and --max-steps: an integer >= 0."""
     try:
         value = int(text)
         if value >= 0:
@@ -93,18 +93,17 @@ def _emit(text):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _betti_csv(table):
-    lines = ["i,j,row,value"]
-    for i, j, row, v in table.records():
-        lines.append("%d,%d,%d,%d" % (i, j, row, v))
+def _records_csv(table, third):
+    """CSV of table.records(); `third` names the i + j column."""
+    lines = ["i,j,%s,value" % third]
+    for record in table.records():
+        lines.append("%d,%d,%d,%d" % record)
     return "\n".join(lines)
 
 
-def _gamma_csv(table):
-    lines = ["i,j,k,value"]
-    for i, j, k, v in table.records():
-        lines.append("%d,%d,%d,%d" % (i, j, k, v))
-    return "\n".join(lines)
+def _regularity_line(res):
+    tag = "certified" if res.certified else ("uncertified after %d steps" % res.steps)
+    return "regularity = %d (%s)" % (res.value, tag)
 
 
 def _module_from_ematrix(args):
@@ -122,7 +121,7 @@ def cmd_cohomology(args):
     if args.format == "json":
         _emit(table.to_json())
     elif args.format == "csv":
-        _emit(_gamma_csv(table))
+        _emit(_records_csv(table, "k"))
     else:
         _emit(table.format_text())
     return 0
@@ -160,7 +159,7 @@ def cmd_betti(args):
         _emit(json.dumps({"entries": [[i, j, v] for (i, j, _, v) in table.records()]},
                          sort_keys=True))
     elif args.format == "csv":
-        _emit(_betti_csv(table))
+        _emit(_records_csv(table, "row"))
     else:
         _emit(table.format_text())
     return 0
@@ -169,26 +168,28 @@ def cmd_betti(args):
 def cmd_reg(args):
     m, _ = _module_from_ematrix(args)
     res = eres.regularity(m, stab_window=args.stab_window, max_steps=args.max_steps)
-    tag = "certified" if res.certified else ("uncertified after %d steps" % res.steps)
-    _emit("regularity = %d (%s)" % (res.value, tag))
+    _emit(_regularity_line(res))
     return 0
 
 
 def cmd_alpha(args):
     m, _ = _module_from_ematrix(args)
-    reg = eres.regularity(m, stab_window=args.stab_window)
     if args.k is not None:
         ks = [int(args.k)]
     else:
         klo, khi = _parse_window(args.k_range)
+        if klo > khi:
+            raise DomainError("empty k range [%d, %d]" % (klo, khi))
         ks = list(range(klo, khi + 1))
+    reg = eres.regularity(m, stab_window=args.stab_window)
+    scanner = eres.CartanScanner(m)
     lines = []
     for k in ks:
-        lines.append("alpha_%d = %d" % (k, eres.alpha(m, k, reg=reg)))
+        lines.append("alpha_%d = %d" % (k, eres.alpha(scanner, k, reg)))
     if args.check_hilbert:
         lo, hi = m.support()
         for e in range(lo, hi + 1):
-            rhs = eres.alpha_hilbert_rhs(m, e, reg=reg)
+            rhs = eres.alpha_hilbert_rhs(scanner, e, reg)
             lines.append("degree %d: dim = %d, alpha formula = %d%s"
                          % (e, m.dim(e), rhs, "" if rhs == m.dim(e) else "  MISMATCH"))
     _emit("\n".join(lines))
@@ -276,9 +277,8 @@ def cmd_mccullough(args):
     tgt = FreeEModule(alg, (0,))
     m = vectorize_coker(GradedMap(src, tgt, {(0, 0): q}))
     res = eres.regularity(m, stab_window=args.stab_window, max_steps=args.max_steps)
-    tag = "certified" if res.certified else ("uncertified after %d steps" % res.steps)
     _emit("quadric with %d terms over %d variables (GF(%d))" % (ell, n + 1, alg.p))
-    _emit("regularity = %d (%s)" % (res.value, tag))
+    _emit(_regularity_line(res))
     expected = ell - 2
     verdict = "OK" if (res.certified and res.value == expected) else "MISMATCH"
     _emit("expected l-2 = %d: %s" % (expected, verdict))
@@ -326,7 +326,7 @@ def build_parser():
     sp.add_argument("--ematrix", required=True)
     sp.add_argument("--direct", action="store_true")
     sp.add_argument("--stab-window", type=int, default=None)
-    sp.add_argument("--max-steps", type=int, default=60)
+    sp.add_argument("--max-steps", type=_nonnegative, default=60)
 
     sp = add("alpha", cmd_alpha, help="alternating Betti sums alpha_k")
     sp.add_argument("--ematrix", required=True)
@@ -370,7 +370,7 @@ def build_parser():
     sp = add("mccullough", cmd_mccullough, help="regularity of the l-term quadric quotient")
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--stab-window", type=int, default=None)
-    sp.add_argument("--max-steps", type=int, default=24)
+    sp.add_argument("--max-steps", type=_nonnegative, default=24)
 
     return ap
 

@@ -8,7 +8,7 @@ Two independent engines compute graded Betti numbers:
   or the kernel of a GradedMap (`resolve_kernel_steps`, which splices the
   resolution onto the map's source); beta_{i,j} = number of generators of
   F_i in degree j;
-* the Koszul-type oracle `betti_cartan`: the dimension of the middle
+* the Koszul-type oracle `CartanScanner`: the dimension of the middle
   homology of  G_{i+1} (x) M_{j+i+1} -> G_i (x) M_{j+i} -> G_{i-1} (x) M_{j+i-1}
   where G_i is the i-th divided power of the variable space (dimensions
   match symmetric powers; the divided-power basis keeps the differential
@@ -304,13 +304,6 @@ class CartanScanner:
         return mid - self._rank(i, j + i) - self._rank(i + 1, j + i + 1)
 
 
-def betti_cartan(m, i, j, scanner=None):
-    """beta_{i,j}(m) as the middle homology dimension of the Cartan strand."""
-    if scanner is not None:
-        return scanner.betti(i, j)
-    return CartanScanner(m).betti(i, j)
-
-
 # ---------------------------------------------------------------------------
 # Regularity
 
@@ -354,6 +347,8 @@ def regularity(m, stab_window=None, max_steps=200, stop_below=None):
     w = stab_window if stab_window is not None else default_stab_window(m.alg)
     if w < 1:
         raise DomainError("stabilization window must be at least 1 step, got %d" % w)
+    if max_steps < 0:
+        raise DomainError("max_steps must be at least 0, got %d" % max_steps)
     res = Resolver(m)
     tops = []
     for i in range(max_steps + 1):
@@ -375,8 +370,8 @@ def regularity(m, stab_window=None, max_steps=200, stop_below=None):
 # Alpha invariants (alternating column sums of the Betti table)
 
 
-def alpha(m, k, reg=None, stab_window=None, scanner=None):
-    """alpha_k(m) = sum_i (-1)^i beta_{i,k}(m); finite once reg is certified.
+def alpha(scanner, k, reg):
+    """alpha_k(m) = sum_i (-1)^i beta_{i,k}(m), m = scanner.m; reg certified.
 
     beta_{i,k} != 0 forces the row i+k to lie at or below the top row of
     homological step i; top rows are non-increasing with certified limit
@@ -384,11 +379,8 @@ def alpha(m, k, reg=None, stab_window=None, scanner=None):
     every possibly-nonzero term (the stable bound alone would miss
     transient rows above the limit).
     """
-    if reg is None:
-        reg = regularity(m, stab_window=stab_window)
     if not reg.certified:
         raise DomainError("alpha needs a certified regularity")
-    sc = scanner if scanner is not None else CartanScanner(m)
     tops = reg.top_rows
     total = 0
     i = 0
@@ -396,23 +388,20 @@ def alpha(m, k, reg=None, stab_window=None, scanner=None):
         bound = tops[i] if i < len(tops) else reg.value
         if i + k > bound:
             break
-        total += (-1) ** i * sc.betti(i, k)
+        total += (-1) ** i * scanner.betti(i, k)
         i += 1
     return total
 
 
-def alpha_hilbert_rhs(m, e, reg=None, stab_window=None, scanner=None):
-    """sum_{j >= e} alpha_j(m) * C(n+1, j-e); equals dim m_e."""
-    if reg is None:
-        reg = regularity(m, stab_window=stab_window)
+def alpha_hilbert_rhs(scanner, e, reg):
+    """sum_{j >= e} alpha_j(m) * C(n+1, j-e), m = scanner.m; equals dim m_e."""
     if not reg.certified:
         raise DomainError("alpha_hilbert_rhs needs a certified regularity")
-    _, hi = m.support()
-    nv = m.alg.nvars
-    sc = scanner if scanner is not None else CartanScanner(m)
+    _, hi = scanner.m.support()
+    nv = scanner.m.alg.nvars
     total = 0
     for j in range(e, hi + 1):
-        a = alpha(m, j, reg=reg, scanner=sc)
+        a = alpha(scanner, j, reg)
         if a:
             total += a * math.comb(nv, j - e)
     return total

@@ -171,14 +171,14 @@ def reconstruct(point, lo, hi):
     return win, table
 
 
-def z_membership(point, i, scanner=None):
+def z_membership(point, i, scanner):
     """True iff beta_{i,j}(coker phi-dual) != 0 for some j > -i (a Betti
-    entry in column i strictly above the zeroth row; rows top out at s)."""
+    entry in column i strictly above the zeroth row; rows top out at s).
+    `scanner` is the CartanScanner of point.coker_dual()."""
     if i < 2:
         raise DomainError("z_membership is defined for i >= 2")
-    sc = scanner if scanner is not None else CartanScanner(point.coker_dual())
     for j in range(-i + 1, point.tvec.s - i + 1):
-        if sc.betti(i, j) != 0:
+        if scanner.betti(i, j) != 0:
             return True
     return False
 
@@ -215,7 +215,7 @@ def census(tvec, n, trials, window, seed, p=None, stab_window=None,
         if with_z:
             sc = CartanScanner(x.coker_dual())
             for i in range(2, zmax + 1):
-                if z_membership(x, i, scanner=sc):
+                if z_membership(x, i, sc):
                     zhist[i] = zhist.get(i, 0) + 1
         if not certified:
             uncertified += 1

@@ -19,9 +19,9 @@ import json
 import numpy as np
 
 from . import gfp
-from .errors import DomainError, WindowError
+from .errors import DomainError
 from .extalg import from_coeff_vector
-from .efree import FreeEModule, GradedMap
+from .efree import FreeEModule, GradedMap, dual_module
 from .eres import resolve_kernel_steps
 from .bgg import bgg_R, graded_map_homology
 from .smod import extend_variable, reg_S, truncate
@@ -120,15 +120,21 @@ class CohomologyTable:
 
 
 class TateWindow:
-    """Positions [lo, hi] with modules T^k and differentials T^k -> T^{k+1}."""
+    """Positions [lo, hi] with modules T^k and differentials T^k -> T^{k+1}.
+
+    Entries outside the window are dropped; construction verifies that the
+    differentials are minimal and the window is exact (DomainError if not).
+    """
 
     def __init__(self, alg, lo, hi, modules, diffs, start_index):
         self.alg = alg
         self.lo = lo
         self.hi = hi
-        self.modules = dict(modules)
-        self.diffs = dict(diffs)
+        self.modules = {k: f for k, f in modules.items() if lo <= k <= hi}
+        self.diffs = {k: d for k, d in diffs.items() if lo <= k < hi}
         self.start_index = start_index
+        self.check_minimal()
+        self.check_exact()
 
     def module(self, k):
         f = self.modules.get(k)
@@ -149,7 +155,7 @@ class TateWindow:
     def check_exact(self):
         """Zero homology at every interior position."""
         for k in range(self.lo + 1, self.hi):
-            defect = graded_map_homology(self.diff(k - 1), self.diff(k))
+            defect = self.exactness_defect(k)
             if defect:
                 raise DomainError(
                     "Tate window not exact at position %d (defect %d)" % (k, defect))
@@ -177,6 +183,21 @@ def cohomology_table(window):
     return CohomologyTable(n, window.lo, window.hi, gamma, anomalies)
 
 
+def _resolve_left(phi, pos, lo):
+    """(modules, diffs) at positions lo .. pos-1 left of phi : T^pos -> T^{pos+1}:
+    a minimal free resolution of ker(phi), then zero modules once it ends."""
+    modules = {}
+    diffs = {}
+    steps = resolve_kernel_steps(phi, pos - lo) if pos > lo else []
+    for g in steps:
+        pos -= 1
+        modules[pos] = g.source
+        diffs[pos] = g
+    for k in range(lo, pos):
+        modules[k] = FreeEModule(phi.alg, ())
+    return modules, diffs
+
+
 def tate_window(m, lo, hi, start=None):
     """Tate resolution window of the sheaf associated to a sliced module.
 
@@ -191,34 +212,18 @@ def tate_window(m, lo, hi, start=None):
     top = max(hi, k0) + 1
     m.require(k0, top, "tate window [%d, %d] starting at %d" % (lo, hi, k0))
     cx = bgg_R(truncate(m, k0))
-    modules = {}
-    diffs = {}
-    for k in range(k0, hi + 1):
-        modules[k] = cx.module(k)
-    for k in range(k0, hi):
-        diffs[k] = cx.diff(k)
-    if lo < k0:
-        left = resolve_kernel_steps(cx.diff(k0), k0 - lo)
-        pos = k0
-        for g in left:
-            pos -= 1
-            modules[pos] = g.source
-            diffs[pos] = g
-        for k in range(lo, pos):
-            # kernel resolution terminated early: the remaining modules vanish
-            modules[k] = FreeEModule(cx.alg, ())
-    win = TateWindow(cx.alg, lo, hi, {k: v for k, v in modules.items() if lo <= k <= hi},
-                     {k: v for k, v in diffs.items() if lo <= k <= hi - 1}, k0)
-    win.check_minimal()
-    win.check_exact()
-    return win
+    modules, diffs = _resolve_left(cx.diff(k0), k0, lo)
+    modules.update((k, cx.module(k)) for k in range(k0, hi + 1))
+    diffs.update((k, cx.diff(k)) for k in range(k0, hi))
+    return TateWindow(cx.alg, lo, hi, modules, diffs, k0)
 
 
 def tate_from_point(phi, lo, hi, require_sheaf=True):
     """Tate window in which phi is the 0th differential.
 
     The right part dualizes a minimal free resolution of coker(phi-dual)
-    built on phi-dual itself; the left part resolves ker(phi).  Raises
+    built on phi-dual itself: it is the left part of phi-dual's window,
+    reflected by k -> 1 - k.  The left part resolves ker(phi).  Raises
     DomainError if phi has unit entries, if phi-dual is not a minimal
     presentation of its cokernel, or (with require_sheaf) if the resulting
     generator degrees fall outside cohomology rows 0..n.
@@ -228,34 +233,17 @@ def tate_from_point(phi, lo, hi, require_sheaf=True):
     if not phi.is_minimal():
         raise DomainError("phi has a unit entry; not a Tate differential")
     alg = phi.alg
-    modules = {0: phi.source, 1: phi.target}
-    diffs = {0: phi}
-    phid = phi.dual()
-    right = resolve_kernel_steps(phid, hi - 1)
-    if right and not right[0].is_minimal():
+    right_modules, right_diffs = _resolve_left(phi.dual(), 0, 1 - hi)
+    if -1 in right_diffs and not right_diffs[-1].is_minimal():
         raise DomainError(
             "phi-dual is not a minimal presentation of its cokernel "
             "(a relation column is a combination of the others)")
-    pos = 1
-    for g in right:
-        pos += 1
-        gd = g.dual()
-        modules[pos] = gd.target
-        diffs[pos - 1] = gd
-    for k in range(pos + 1, hi + 1):
-        modules[k] = FreeEModule(alg, ())
-    left = resolve_kernel_steps(phi, -lo)
-    pos = 0
-    for g in left:
-        pos -= 1
-        modules[pos] = g.source
-        diffs[pos] = g
-    for k in range(lo, pos):
-        modules[k] = FreeEModule(alg, ())
-    win = TateWindow(alg, lo, hi, {k: v for k, v in modules.items() if lo <= k <= hi},
-                     {k: v for k, v in diffs.items() if lo <= k <= hi - 1}, 0)
-    win.check_minimal()
-    win.check_exact()
+    modules = {1 - k: dual_module(f) for k, f in right_modules.items()}
+    diffs = {-k: g.dual() for k, g in right_diffs.items()}
+    left_modules, left_diffs = _resolve_left(phi, 0, lo)
+    modules.update({**left_modules, 0: phi.source, 1: phi.target})
+    diffs.update({**left_diffs, 0: phi})
+    win = TateWindow(alg, lo, hi, modules, diffs, 0)
     if require_sheaf:
         table = cohomology_table(win)
         if table.anomalies:

@@ -65,6 +65,27 @@ def module_corpus(count, seed, nmax=4, p=32003):
     return out
 
 
+def random_sliced_module(rng, n, p):
+    """coker of a random homogeneous presentation over GF(p)[x_0..x_n],
+    sliced over [0, 5]: generators in degree 0 (sometimes also 1), one or
+    two relations of degree 1 or 2 above their row, random coefficients
+    (zero ones included).  Every relation lies in degree <= 3, so the slice
+    holds all of them and at least two degrees above; a wider slice only
+    makes the examples slower."""
+    ring = PolyRing(n, p)
+    rows = (0,) if rng.random() < 0.6 else (0, 1)
+    cols = [int(rng.choice(rows)) + int(rng.integers(1, 3))
+            for _ in range(int(rng.integers(1, 3)))]
+    entries = {}
+    for r, rd in enumerate(rows):
+        for c, cd in enumerate(cols):
+            if cd < rd:
+                continue
+            poly = {e: int(rng.integers(0, p)) for e in ring.basis(cd - rd)}
+            entries[(r, c)] = {e: v for e, v in poly.items() if v}
+    return slice_presentation(SPresentation(ring, rows, cols, entries), (0, 5))
+
+
 def sliced_corpus(p=32003):
     """Named S-side modules wide enough for the Tate windows in the tests."""
     out = []

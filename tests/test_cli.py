@@ -143,8 +143,12 @@ def test_tate_listing(capsys, cubic_file):
     (["census", "--b", "1", "--bprime", "1", "-n", "2", "--trials", "1",
       "--seed", "-1", "--window", "-1..1"], {}, 2),
     (["reg", "--ematrix", "{pt}", "--stab-window", "0"], {}, 1),
+    (["reg", "--ematrix", "{pt}", "--max-steps", "-1"], {}, 2),
+    (["mccullough", "--ell", "1", "--max-steps", "-1"], {}, 2),
+    (["alpha", "--ematrix", "{pt}", "--k-range", "3..1"], {}, 1),
 ], ids=["p-not-prime", "p-above-bound", "emat-header-p", "smod-header-p", "mccullough-p",
-        "sample-negative-n", "census-negative-seed", "stab-window-zero"])
+        "sample-negative-n", "census-negative-seed", "stab-window-zero",
+        "reg-negative-max-steps", "mccullough-negative-max-steps", "alpha-empty-k-range"])
 def test_bad_input_exits_without_traceback(capsys, tmp_path, point_file, argv, files, want):
     paths = {"pt": point_file}
     for name, text in files.items():

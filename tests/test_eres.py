@@ -11,9 +11,8 @@ from exttate.bgg import graded_map_homology
 from exttate.errors import DomainError
 from exttate.extalg import Algebra, ExtElement, parse_element, random_element
 from exttate.efree import FreeEModule, GradedMap, free_as_vectorized, vectorize_coker
-from exttate.eres import (CartanScanner, alpha, alpha_hilbert_rhs, betti_cartan,
-                          cone_extend, minimal_free_resolution, regularity,
-                          resolve_kernel_steps)
+from exttate.eres import (CartanScanner, alpha, alpha_hilbert_rhs, cone_extend,
+                          minimal_free_resolution, regularity, resolve_kernel_steps)
 
 P = 32003
 
@@ -52,9 +51,10 @@ def test_quadric_quotient_rows_l3():
 def test_betti_cartan_free_module():
     alg = Algebra(2)
     f = free_as_vectorized(FreeEModule(alg, (0,)))
-    assert betti_cartan(f, 0, 0) == 1
+    sc = CartanScanner(f)
+    assert sc.betti(0, 0) == 1
     for j in range(-4, 1):
-        assert betti_cartan(f, 1, j) == 0
+        assert sc.betti(1, j) == 0
 
 
 def test_betti_cartan_small_characteristic():
@@ -64,7 +64,7 @@ def test_betti_cartan_small_characteristic():
     win = minimal_free_resolution(k, 5)
     bt = win.betti_table()
     for i in range(6):
-        assert betti_cartan(k, i, -i) == bt.get(i, -i) == i + 1
+        assert CartanScanner(k).betti(i, -i) == bt.get(i, -i) == i + 1
 
 
 def test_cross_oracle_on_corpus(small_corpus):
@@ -114,6 +114,15 @@ def test_regularity_rejects_stab_window_below_one():
     assert regularity(m, stab_window=1).certified
 
 
+def test_regularity_rejects_negative_max_steps():
+    alg = Algebra(1)
+    m = quotient_by(alg, [parse_element(alg, "e0*e1")])
+    with pytest.raises(DomainError):
+        regularity(m, max_steps=-1)
+    r = regularity(m, max_steps=0)
+    assert (r.steps, r.top_rows) == (0, [0]) and not r.certified
+
+
 def test_regularity_stop_below():
     alg1 = Algebra(1)
     m1 = quotient_by(alg1, [parse_element(alg1, "e0*e1")])
@@ -133,24 +142,24 @@ def test_alpha_free_and_residue_field():
     alg = Algebra(1)
     f = free_as_vectorized(FreeEModule(alg, (0,)))
     reg = regularity(f)
-    assert alpha(f, 0, reg=reg) == 1
+    assert alpha(CartanScanner(f), 0, reg) == 1
     for k in range(-3, 0):
-        assert alpha(f, k, reg=reg) == 0
+        assert alpha(CartanScanner(f), k, reg) == 0
     k_mod = residue_field(alg)
     regk = regularity(k_mod)
     for i in range(0, 4):
-        assert alpha(k_mod, -i, reg=regk) == (-1) ** i * (i + 1)
+        assert alpha(CartanScanner(k_mod), -i, regk) == (-1) ** i * (i + 1)
 
 
 def test_alpha_hilbert_identity_hand_values():
     alg = Algebra(1)
     k_mod = residue_field(alg)
     reg = regularity(k_mod)
-    assert alpha_hilbert_rhs(k_mod, 0, reg=reg) == 1
-    assert alpha_hilbert_rhs(k_mod, -1, reg=reg) == 0
+    assert alpha_hilbert_rhs(CartanScanner(k_mod), 0, reg) == 1
+    assert alpha_hilbert_rhs(CartanScanner(k_mod), -1, reg) == 0
     f = free_as_vectorized(FreeEModule(Algebra(3), (0,)))
     regf = regularity(f)
-    assert alpha_hilbert_rhs(f, -1, reg=regf) == 4  # n+1
+    assert alpha_hilbert_rhs(CartanScanner(f), -1, regf) == 4  # n+1
 
 
 def test_alpha_requires_certified_regularity():
@@ -159,7 +168,7 @@ def test_alpha_requires_certified_regularity():
     weak = regularity(m, max_steps=1)
     assert not weak.certified
     with pytest.raises(DomainError):
-        alpha(m, 0, reg=weak)
+        alpha(CartanScanner(m), 0, weak)
 
 
 def test_alpha_hilbert_identity_on_corpus():
@@ -170,7 +179,7 @@ def test_alpha_hilbert_identity_on_corpus():
         sc = CartanScanner(m)
         lo, hi = m.support()
         for e in range(lo, hi + 1):
-            assert alpha_hilbert_rhs(m, e, reg=reg, scanner=sc) == m.dim(e)
+            assert alpha_hilbert_rhs(sc, e, reg) == m.dim(e)
 
 
 def test_cone_extend_doubles_and_checks():
@@ -194,7 +203,7 @@ def test_cone_extend_preserves_betti_and_alpha():
     regm, regc = regularity(m), regularity(c)
     assert regm.certified and regc.certified and regm.value == regc.value
     for k in range(lo, hi + 1):
-        assert alpha(m, k, reg=regm, scanner=sm) == alpha(c, k, reg=regc, scanner=sc)
+        assert alpha(sm, k, regm) == alpha(sc, k, regc)
 
 
 @st.composite

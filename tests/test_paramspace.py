@@ -8,6 +8,7 @@ import pytest
 from exttate.errors import DomainError
 from exttate.extalg import Algebra, ExtElement, parse_element
 from exttate.efree import FreeEModule, GradedMap
+from exttate.eres import CartanScanner
 from exttate.paramspace import (MatrixPoint, TypeVectors, census, degree_sequence,
                                 membership_X0, point_from_matrix, reconstruct,
                                 sample, z_membership)
@@ -83,10 +84,11 @@ def test_z_membership_point_sheaf_false():
     phi = GradedMap(FreeEModule(alg, (0,)), FreeEModule(alg, (1,)),
                     {(0, 0): parse_element(alg, "e0")})
     pt = point_from_matrix(t11, phi)
-    assert not z_membership(pt, 2)
-    assert not z_membership(pt, 3)
+    sc = CartanScanner(pt.coker_dual())
+    assert not z_membership(pt, 2, sc)
+    assert not z_membership(pt, 3, sc)
     with pytest.raises(DomainError):
-        z_membership(pt, 1)
+        z_membership(pt, 1, sc)
 
 
 def _two_socle_point(n=2, p=32003):
@@ -115,15 +117,17 @@ def test_z_membership_witness_and_chain():
     assert m.hilbert() == [1, 1]  # k in degree 0 and k in degree 1
     member, cert = membership_X0(pt)
     assert cert and not member  # stable top row is 1, not 0
+    sc = CartanScanner(m)
     for i in (2, 3, 4):
-        assert z_membership(pt, i)
+        assert z_membership(pt, i, sc)
     # the chain Z_{i+1} <= Z_i holds on a mixed corpus
     rng = np.random.default_rng(31)
     pool = [pt]
     for _ in range(6):
         pool.append(sample(TypeVectors((1, 1), (1, 1)), 3, rng, p=101))
     for x in pool:
-        flags = [z_membership(x, i) for i in (2, 3, 4)]
+        sc = CartanScanner(x.coker_dual())
+        flags = [z_membership(x, i, sc) for i in (2, 3, 4)]
         for a, b in zip(flags, flags[1:]):
             assert (not b) or a
 

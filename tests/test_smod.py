@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import random_sliced_module
 from exttate.errors import DomainError, ParseError, WindowError
 from exttate.smod import (PolyRing, SPresentation, SlicedModule, extend_variable,
                           format_smod, koszul_betti, parse_poly, parse_smod,
@@ -97,6 +99,23 @@ def test_reg_S_values():
 def test_reg_S_window_errors():
     with pytest.raises(WindowError):
         reg_S(k_sliced(2, (0, 4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2), st.sampled_from([2, 3, 101]), st.integers(0, 2 ** 32 - 1))
+def test_truncation_keeps_betti_above_cut_property(n, p, seed):
+    """On diagonals r+1 .. hi-1 the truncation at r has m's Koszul Betti
+    numbers: every slice both Koszul differentials touch lies at degree >= r.
+    reg_S relies on this to certify from one scan."""
+    m = random_sliced_module(np.random.default_rng(seed), n, p)
+    nv = m.ring.nvars
+    betti = {(i, j): koszul_betti(m, i, j)
+             for i in range(nv + 1) for j in range(m.lo + 1 + i, m.hi + i)}
+    for r in range(m.lo, m.hi):
+        tr = truncate(m, r)
+        for (i, j), v in betti.items():
+            if j - i >= r + 1:
+                assert koszul_betti(tr, i, j) == v, (r, i, j)
 
 
 def test_truncate_laws():

@@ -12,7 +12,7 @@ from exttate.efree import FreeEModule, GradedMap, vectorize_coker
 from exttate.eres import regularity
 from exttate.smod import (PolyRing, SPresentation, extend_variable, parse_poly,
                           shift_grading, slice_presentation)
-from exttate.tate import (CohomologyTable, cohomology_table, descent,
+from exttate.tate import (CohomologyTable, TateWindow, cohomology_table, descent,
                           pushforward_check, tate_from_point, tate_window)
 
 P = 32003
@@ -64,12 +64,19 @@ def test_gamma0_matches_hilbert_beyond_start():
         assert tab.get(0, j) == m.dim(j)
 
 
-def test_window_exactness_and_minimality(small_corpus):
-    win = tate_window(cubic_sliced(), -2, 2)
-    win.check_minimal()
-    win.check_exact()
-    for k in range(-1, 2):
-        assert win.exactness_defect(k) == 0
+def test_window_exactness_and_minimality():
+    """TateWindow verifies its input when it is built."""
+    alg = Algebra(1, P)
+    f0 = FreeEModule(alg, (0,))
+    f1 = FreeEModule(alg, (1,))
+    f2 = FreeEModule(alg, (2,))
+    zero = {0: GradedMap(f0, f1, {}), 1: GradedMap(f1, f2, {})}
+    with pytest.raises(DomainError, match="not exact at position 1"):
+        TateWindow(alg, 0, 2, {0: f0, 1: f1, 2: f2}, zero, 0)
+    unit = {0: GradedMap(FreeEModule(alg, (1,)), f1,
+                         {(0, 0): parse_element(alg, "1")})}
+    with pytest.raises(DomainError, match="unit entry"):
+        TateWindow(alg, 0, 1, {0: FreeEModule(alg, (1,)), 1: f1}, unit, 0)
 
 
 def test_lemma_reg_bounds_on_window():
