@@ -1,7 +1,7 @@
 """Exact exterior-algebra engine for Tate windows and cohomology tables."""
 
 from .errors import DomainError, ExttateError, ParseError, WindowError
-from .extalg import Algebra, ExtElement, FieldContext, DEFAULT_PRIME
+from .extalg import Algebra, ExtElement, DEFAULT_PRIME
 from .efree import FreeEModule, GradedMap, VectorizedModule
 from .eres import (BettiTable, CartanScanner, Resolver, minimal_free_resolution,
                    regularity)

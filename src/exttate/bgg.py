@@ -5,7 +5,11 @@ in position i and differential determined by the multiplication maps,
 entry[r][c] = sum_t sign_t * X_t[r, c] * e_t with sign_t = (-1)^t.  The
 inverse reading peels the multiplication maps back off a linear complex
 with vanishing composition; it is the round-trip oracle of the tests.
+Linear complexes and Tate windows share the base `FreeComplex`, and
+`graded_map_homology` reads the homology along a chain of its maps.
 """
+
+import functools
 
 from . import gfp
 from .errors import DomainError
@@ -14,15 +18,33 @@ from .efree import FreeEModule, GradedMap
 from .smod import PolyRing, SlicedModule
 
 
-class LinearComplex:
-    """Free modules E(-i)^{rank_i} for i in [lo, hi], linear differentials."""
+class FreeComplex:
+    """Free modules T^k and maps T^k -> T^{k+1} at positions [lo, hi]; a
+    position with nothing stored holds the zero module and the zero map."""
 
     def __init__(self, alg, lo, hi, modules, diffs):
         self.alg = alg
         self.lo = lo
         self.hi = hi
         self.modules = dict(modules)   # position -> FreeEModule
-        self.diffs = dict(diffs)       # position i -> GradedMap T^i -> T^{i+1}
+        self.diffs = dict(diffs)       # position k -> GradedMap T^k -> T^{k+1}
+
+    def module(self, k):
+        f = self.modules.get(k)
+        return f if f is not None else FreeEModule(self.alg, ())
+
+    def diff(self, k):
+        d = self.diffs.get(k)
+        if d is None:
+            return GradedMap(self.module(k), self.module(k + 1), {})
+        return d
+
+
+class LinearComplex(FreeComplex):
+    """Free modules E(-i)^{rank_i} for i in [lo, hi], linear differentials."""
+
+    def __init__(self, alg, lo, hi, modules, diffs):
+        super().__init__(alg, lo, hi, modules, diffs)
         for i, f in self.modules.items():
             if any(g != i for g in f.gen_degrees):
                 raise DomainError("position %d carries generators in degrees %s"
@@ -32,20 +54,7 @@ class LinearComplex:
                 raise DomainError("differential at %d has a nonlinear entry" % i)
 
     def rank(self, i):
-        f = self.modules.get(i)
-        return f.rank if f is not None else 0
-
-    def module(self, i):
-        f = self.modules.get(i)
-        if f is None:
-            return FreeEModule(self.alg, ())
-        return f
-
-    def diff(self, i):
-        d = self.diffs.get(i)
-        if d is None:
-            return GradedMap(self.module(i), self.module(i + 1), {})
-        return d
+        return self.module(i).rank
 
     def check_squares_zero(self):
         for i in range(self.lo, self.hi - 1):
@@ -111,19 +120,31 @@ def bgg_L_read(cx):
     return SlicedModule(ring, (cx.lo, cx.hi), dims, mult)
 
 
-def graded_map_homology(din, dout):
-    """Total homology dimension at the junction of two composable maps."""
-    p = din.alg.p
-    mid = dout.source
-    if din.target != mid:
-        raise DomainError("maps do not share the middle module")
-    total = 0
-    lo, hi = mid.degree_range()
-    for d in range(lo, hi + 1):
-        dim_mid = mid.slice_dim(d)
-        if dim_mid == 0:
-            continue
-        r_out = gfp.rank(dout.slice_matrix(d), p)
-        r_in = gfp.rank(din.slice_matrix(d), p)
-        total += dim_mid - r_out - r_in
-    return total
+def graded_map_homology(*maps):
+    """Homology dimension at each junction of a chain of composable maps.
+
+    Entry k of the returned list is the homology at the target of maps[k]
+    (the source of maps[k+1]); each slice matrix is ranked once, though
+    the interior maps take part in two junctions.
+    """
+    if len(maps) < 2:
+        raise DomainError("homology needs at least two composable maps")
+
+    @functools.cache
+    def rank(k, d):
+        return gfp.rank(maps[k].slice_matrix(d), maps[k].alg.p)
+
+    out = []
+    for k in range(len(maps) - 1):
+        mid = maps[k + 1].source
+        if maps[k].target != mid:
+            raise DomainError("maps do not share the middle module")
+        total = 0
+        lo, hi = mid.degree_range()
+        for d in range(lo, hi + 1):
+            dim_mid = mid.slice_dim(d)
+            if dim_mid == 0:
+                continue
+            total += dim_mid - rank(k + 1, d) - rank(k, d)
+        out.append(total)
+    return out

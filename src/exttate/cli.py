@@ -13,7 +13,7 @@ import numpy as np
 
 from . import gfp
 from .errors import DomainError, ParseError, WindowError
-from .extalg import Algebra, DEFAULT_PRIME, parse_element
+from .extalg import Algebra, DEFAULT_PRIME, format_element, parse_element
 from .efree import FreeEModule, GradedMap, format_ematrix, parse_ematrix, vectorize_coker
 from . import eres
 from .smod import SPresentation, parse_smod, slice_presentation, reg_S
@@ -212,7 +212,6 @@ def cmd_descend(args):
     n0, basis = descent(win, reg_upper)
     lines = ["n0 = %d" % n0]
     for el in basis:
-        from .extalg import format_element
         lines.append("span: %s" % format_element(el))
     _emit("\n".join(lines))
     return 0
@@ -230,7 +229,7 @@ def cmd_sample(args):
     tvec = paramspace.TypeVectors(_parse_intlist(args.b), _parse_intlist(args.bprime))
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     prime = args.prime if args.prime is not None else DEFAULT_PRIME
-    point = paramspace.sample(tvec, args.n, rng, p=prime, seed=args.seed)
+    point = paramspace.sample(tvec, args.n, rng, p=prime)
     text = format_ematrix(point.phi)
     d = paramspace.degree_sequence(tvec)
     header = "# type b=%s b'=%s d=%s seed=%d\n" % (

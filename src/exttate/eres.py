@@ -12,7 +12,8 @@ Two independent engines compute graded Betti numbers:
   homology of  G_{i+1} (x) M_{j+i+1} -> G_i (x) M_{j+i} -> G_{i-1} (x) M_{j+i-1}
   where G_i is the i-th divided power of the variable space (dimensions
   match symmetric powers; the divided-power basis keeps the differential
-  correct in small characteristic).
+  correct in small characteristic).  Its monomials are indexed by the
+  exponent vectors of S_i, `smod.exponent_vectors`.
 
 Regularity of a graded E-module is the stable top row max(i+j) of its
 Betti table.  Top rows never increase along a minimal resolution (entries
@@ -23,13 +24,14 @@ n+2), or the resolution terminated (free module).
 """
 
 import math
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from . import gfp
 from .errors import DomainError
+from .extalg import Algebra
 from .efree import FreeEModule, GradedMap, VectorizedModule
+from .smod import exponent_vectors
 
 
 class BettiTable:
@@ -240,22 +242,11 @@ def resolve_kernel_steps(phi, steps):
 # Cartan-complex Betti oracle
 
 
-def _divided_basis(nvars, i):
-    """Exponent vectors of total degree i, graded-lex (deterministic)."""
-    out = []
-    for combo in combinations_with_replacement(range(nvars), i):
-        alpha = [0] * nvars
-        for t in combo:
-            alpha[t] += 1
-        out.append(tuple(alpha))
-    return out
-
-
 def _cartan_differential(m, i, d):
     """Map M_d (x) G_i -> M_{d-1} (x) G_{i-1}; block per divided monomial."""
     nv = m.alg.nvars
-    src_g = _divided_basis(nv, i)
-    tgt_g = _divided_basis(nv, i - 1)
+    src_g = exponent_vectors(nv, i)
+    tgt_g = exponent_vectors(nv, i - 1)
     tgt_pos = {a: k for k, a in enumerate(tgt_g)}
     md, md1 = m.dim(d), m.dim(d - 1)
     D = gfp.zeros(md1 * len(tgt_g), md * len(src_g))
@@ -327,10 +318,6 @@ class RegularityResult:
         return "Regularity(%d, %s, %d steps)" % (self.value, tag, self.steps)
 
 
-def default_stab_window(alg):
-    return alg.nvars + 1
-
-
 def regularity(m, stab_window=None, max_steps=200, stop_below=None):
     """Stable top row of the Betti table of m.
 
@@ -344,7 +331,7 @@ def regularity(m, stab_window=None, max_steps=200, stop_below=None):
     """
     if m.is_zero:
         raise DomainError("regularity of the zero module is undefined")
-    w = stab_window if stab_window is not None else default_stab_window(m.alg)
+    w = stab_window if stab_window is not None else m.alg.nvars + 1
     if w < 1:
         raise DomainError("stabilization window must be at least 1 step, got %d" % w)
     if max_steps < 0:
@@ -418,8 +405,6 @@ def cone_extend(m):
     twist on the eps component, the new variable shifts the first
     component into the second.
     """
-    from .extalg import Algebra
-
     alg2 = Algebra(m.alg.n + 1, m.alg.p)
     lo, hi = m.support()
     dims = {}

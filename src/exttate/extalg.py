@@ -1,11 +1,14 @@
-"""Exact arithmetic in GF(p) and in the exterior algebra E on e_0..e_n.
+"""The exterior algebra E on e_0..e_n over GF(p) and its elements.
 
 Grading: deg(e_i) = -1, so the graded piece E_d is spanned by the
 square-free monomials in -d of the variables.  Monomials are stored as
 index bitmasks; the canonical sign comes from the sorted index order and
-the canonical term order is lexicographic on the index sets.
+the canonical term order is lexicographic on the index sets.  The monomial
+bases and the multiplication matrices of E are cached per (n, p): every
+Algebra(n, p) shares one set of tables.
 """
 
+import functools
 import math
 from itertools import combinations
 
@@ -16,41 +19,21 @@ from . import gfp
 DEFAULT_PRIME = 32003
 
 
-class FieldContext:
-    """The prime field GF(p); all scalar arithmetic is reduced mod p."""
-
-    def __init__(self, p=DEFAULT_PRIME):
-        gfp.check_prime(p)
-        self.p = p
-
-    def __eq__(self, other):
-        return isinstance(other, FieldContext) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
-    def __repr__(self):
-        return "GF(%d)" % self.p
-
-
 class Algebra:
     """Exterior algebra on n+1 variables e_0..e_n over GF(p), deg e_i = -1.
 
-    Caches monomial bases per degree and the slice matrices of left/right
-    multiplication by monomials; everything downstream leans on those.
+    Algebras compare and hash on (n, p), so the cached monomial bases and
+    multiplication matrices below are built once per (n, p) and shared by
+    every Algebra(n, p).  The cached arrays are read-only.
     """
 
     def __init__(self, n, p=DEFAULT_PRIME):
         if n < 0:
             raise ValueError("need n >= 0")
+        gfp.check_prime(p)
         self.n = n
-        self.field = FieldContext(p)
-        self.p = self.field.p
+        self.p = p
         self.nvars = n + 1
-        self._basis = {}
-        self._index = {}
-        self._limul = {}
-        self._rimul = {}
 
     def __eq__(self, other):
         return isinstance(other, Algebra) and self.n == other.n and self.p == other.p
@@ -67,59 +50,45 @@ class Algebra:
             return 0
         return math.comb(self.nvars, -d)
 
+    @functools.cache
     def basis(self, d):
         """Masks of the degree-d monomials, in lex order on index sets."""
-        if d not in self._basis:
-            if d > 0 or d < -self.nvars:
-                self._basis[d] = ()
-            else:
-                masks = []
-                for combo in combinations(range(self.nvars), -d):
-                    m = 0
-                    for i in combo:
-                        m |= 1 << i
-                    masks.append(m)
-                self._basis[d] = tuple(masks)
-            self._index[d] = {m: i for i, m in enumerate(self._basis[d])}
-        return self._basis[d]
+        if d > 0 or d < -self.nvars:
+            return ()
+        return tuple(sum(1 << i for i in combo)
+                     for combo in combinations(range(self.nvars), -d))
 
+    @functools.cache
     def index(self, d):
-        self.basis(d)
-        return self._index[d]
+        return {m: i for i, m in enumerate(self.basis(d))}
 
+    @functools.cache
     def right_mul_matrix(self, i, d):
-        """Matrix of x -> x*e_i from slice E_d to E_{d-1}."""
-        key = (i, d)
-        if key not in self._rimul:
-            src = self.basis(d)
-            tgt_index = self.index(d - 1)
-            mat = gfp.zeros(self.dim(d - 1), self.dim(d))
-            bit = 1 << i
-            for c, m in enumerate(src):
-                if m & bit:
-                    continue
-                # sign: number of indices in m greater than i
-                sgn = -1 if (bin(m >> (i + 1)).count("1") % 2) else 1
-                mat[tgt_index[m | bit], c] = sgn % self.p
-            self._rimul[key] = mat
-        return self._rimul[key]
+        """Matrix of x -> x*e_i from slice E_d to E_{d-1}.
 
+        x*e_i = (-1)^d e_i*x for x in E_d, so this is left multiplication
+        by e_i, negated in odd degrees.
+        """
+        mat = self.left_mul_matrix(1 << i, d)
+        if d % 2:
+            mat = np.mod(-mat, self.p)
+            mat.flags.writeable = False
+        return mat
+
+    @functools.cache
     def left_mul_matrix(self, mask, d):
         """Matrix of x -> m*x (m the monomial `mask`) from E_d to E_{d-deg}."""
-        key = (mask, d)
-        if key not in self._limul:
-            k = bin(mask).count("1")
-            src = self.basis(d)
-            tgt_index = self.index(d - k)
-            mat = gfp.zeros(self.dim(d - k), self.dim(d))
-            for c, m in enumerate(src):
-                res = mono_mul(mask, m)
-                if res is None:
-                    continue
-                sgn, prod = res
-                mat[tgt_index[prod], c] = sgn % self.p
-            self._limul[key] = mat
-        return self._limul[key]
+        k = bin(mask).count("1")
+        tgt_index = self.index(d - k)
+        mat = gfp.zeros(self.dim(d - k), self.dim(d))
+        for c, m in enumerate(self.basis(d)):
+            res = mono_mul(mask, m)
+            if res is None:
+                continue
+            sgn, prod = res
+            mat[tgt_index[prod], c] = sgn % self.p
+        mat.flags.writeable = False
+        return mat
 
 
 def mask_degree(mask):
@@ -127,14 +96,7 @@ def mask_degree(mask):
 
 
 def mask_indices(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def mono_mul(a, b):

@@ -189,6 +189,9 @@ def rref(a, p):
 
 
 def rank(a, p):
+    """Rank mod p; a matrix with no rows or no columns has rank 0."""
+    if np.size(a) == 0:
+        return 0
     return len(echelon(a, p)[1])
 
 

@@ -18,10 +18,13 @@ import json
 import numpy as np
 
 from .errors import DomainError
-from .extalg import Algebra, random_element
+from .extalg import DEFAULT_PRIME, Algebra, random_element
 from .efree import FreeEModule, GradedMap, vectorize_coker
 from .eres import CartanScanner, regularity
 from .tate import cohomology_table, descent, tate_from_point
+
+# Resolution steps the membership scan may take before it gives up uncertified.
+MEMBERSHIP_MAX_STEPS = 60
 
 
 class TypeVectors:
@@ -82,11 +85,10 @@ def degree_sequence(tvec):
 class MatrixPoint:
     """A sampled (or constructed) matrix of type (b, b') over n+1 variables."""
 
-    def __init__(self, tvec, phi, seed=None):
+    def __init__(self, tvec, phi):
         self.tvec = tvec
         self.phi = phi
         self.n = phi.alg.n
-        self.seed = seed
         self._coker_dual = None
 
     def coker_dual(self):
@@ -95,10 +97,10 @@ class MatrixPoint:
         return self._coker_dual
 
     def __repr__(self):
-        return "MatrixPoint(%r, n=%d, seed=%r)" % (self.tvec, self.n, self.seed)
+        return "MatrixPoint(%r, n=%d)" % (self.tvec, self.n)
 
 
-def point_from_matrix(tvec, phi, seed=None):
+def point_from_matrix(tvec, phi):
     """Wrap an explicit GradedMap after validating its type shape."""
     if phi.source.gen_degrees != tvec.source_degrees():
         raise DomainError("source degrees %s do not match type %r"
@@ -108,15 +110,13 @@ def point_from_matrix(tvec, phi, seed=None):
                           % (phi.target.gen_degrees, tvec))
     if not phi.is_minimal():
         raise DomainError("degree-0 slots must be zero in a type matrix")
-    return MatrixPoint(tvec, phi, seed=seed)
+    return MatrixPoint(tvec, phi)
 
 
-def sample(tvec, n, rng, p=None, seed=None):
+def sample(tvec, n, rng, p=None):
     """Uniform matrix of type (b, b'): every allowed slot gets an
     independent uniform element of its slot degree; impossible slots
     (degree 0, positive, or below -(n+1)) stay zero."""
-    from .extalg import DEFAULT_PRIME
-
     alg = Algebra(n, p if p is not None else DEFAULT_PRIME)
     src = FreeEModule(alg, tvec.source_degrees())
     tgt = FreeEModule(alg, tvec.target_degrees())
@@ -129,10 +129,10 @@ def sample(tvec, n, rng, p=None, seed=None):
             el = random_element(alg, d, rng)
             if not el.is_zero:
                 entries[(r, c)] = el
-    return MatrixPoint(tvec, GradedMap(src, tgt, entries), seed=seed)
+    return MatrixPoint(tvec, GradedMap(src, tgt, entries))
 
 
-def membership_X0(point, stab_window=None, max_steps=60):
+def membership_X0(point, stab_window=None):
     """(in X0, certified): is the stable top Betti row of coker(phi-dual) 0?
 
     Top rows never increase, so once the scan dips below zero the point is
@@ -142,7 +142,8 @@ def membership_X0(point, stab_window=None, max_steps=60):
     m = point.coker_dual()
     if m.is_zero:
         raise DomainError("cokernel of phi-dual is zero; degenerate point")
-    reg = regularity(m, stab_window=stab_window, max_steps=max_steps, stop_below=0)
+    reg = regularity(m, stab_window=stab_window, max_steps=MEMBERSHIP_MAX_STEPS,
+                     stop_below=0)
     if reg.truncated_below:
         return False, True
     return (reg.value == 0), reg.certified
@@ -183,16 +184,13 @@ def z_membership(point, i, scanner):
     return False
 
 
-def census(tvec, n, trials, window, seed, p=None, stab_window=None,
-           with_z=True, max_steps=60):
+def census(tvec, n, trials, window, seed, p=None, stab_window=None):
     """Sample, filter by membership, reconstruct, aggregate; deterministic.
 
     Returns a dict with the sampled counts, the distinct cohomology tables
     over the window, the maximal observed sheaf regularity and descent
     dimension among members, and the above-zero-row frequencies.
     """
-    from .extalg import DEFAULT_PRIME
-
     if trials < 1:
         raise DomainError("need at least one trial")
     lo, hi = int(window[0]), int(window[1])
@@ -209,14 +207,12 @@ def census(tvec, n, trials, window, seed, p=None, stab_window=None,
     zmax = tvec.s + 2
     for t in range(trials):
         rng = np.random.default_rng(streams[t])
-        x = sample(tvec, n, rng, p=prime, seed=(seed, t))
-        member, certified = membership_X0(x, stab_window=stab_window,
-                                          max_steps=max_steps)
-        if with_z:
-            sc = CartanScanner(x.coker_dual())
-            for i in range(2, zmax + 1):
-                if z_membership(x, i, sc):
-                    zhist[i] = zhist.get(i, 0) + 1
+        x = sample(tvec, n, rng, p=prime)
+        member, certified = membership_X0(x, stab_window=stab_window)
+        sc = CartanScanner(x.coker_dual())
+        for i in range(2, zmax + 1):
+            if z_membership(x, i, sc):
+                zhist[i] = zhist.get(i, 0) + 1
         if not certified:
             uncertified += 1
             continue

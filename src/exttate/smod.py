@@ -7,9 +7,12 @@ functor and Tate starts only look at slices above some degree), so no
 Groebner machinery appears anywhere: ingestion from a polynomial
 presentation is monomial-basis linear algebra degree by degree.
 
-Regularity (`reg_S`) comes from one scan of the Koszul Betti diagonals.
+Regularity (`reg_S`) comes from one scan of the Koszul Betti diagonals;
+each module ranks every Koszul differential once.  The monomial bases of
+S are cached per (n, p) and shared by every PolyRing(n, p).
 """
 
+import functools
 import math
 from itertools import combinations, combinations_with_replacement
 
@@ -21,8 +24,26 @@ from .extalg import _signed_chunks
 from .efree import _quotient_slice, parse_matrix_file
 
 
+@functools.cache
+def exponent_vectors(nvars, d):
+    """Exponent tuples of total degree d >= 0 in nvars variables, in a fixed
+    (lex-of-multiset) order: the monomials of S_d, and the divided-power
+    monomials of the Cartan complex."""
+    out = []
+    for combo in combinations_with_replacement(range(nvars), d):
+        expo = [0] * nvars
+        for t in combo:
+            expo[t] += 1
+        out.append(tuple(expo))
+    return tuple(out)
+
+
 class PolyRing:
-    """S = GF(p)[x_0..x_n], deg x_i = 1; caches monomial bases per degree."""
+    """S = GF(p)[x_0..x_n], deg x_i = 1.
+
+    Rings compare and hash on (n, p), so the monomial bases are built once
+    per (n, p) and shared by every PolyRing(n, p).
+    """
 
     def __init__(self, n, p):
         if n < 0:
@@ -31,11 +52,12 @@ class PolyRing:
         self.n = n
         self.p = p
         self.nvars = n + 1
-        self._basis = {}
-        self._index = {}
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and (self.n, self.p) == (other.n, other.p)
+
+    def __hash__(self):
+        return hash((self.n, self.p))
 
     def __repr__(self):
         return "Poly(n=%d, p=%d)" % (self.n, self.p)
@@ -46,24 +68,12 @@ class PolyRing:
         return math.comb(self.n + d, self.n)
 
     def basis(self, d):
-        """Exponent tuples of degree d in a fixed (lex-of-multiset) order."""
-        if d not in self._basis:
-            if d < 0:
-                self._basis[d] = ()
-            else:
-                out = []
-                for combo in combinations_with_replacement(range(self.nvars), d):
-                    expo = [0] * self.nvars
-                    for t in combo:
-                        expo[t] += 1
-                    out.append(tuple(expo))
-                self._basis[d] = tuple(out)
-            self._index[d] = {e: i for i, e in enumerate(self._basis[d])}
-        return self._basis[d]
+        """Exponent tuples of degree d (see `exponent_vectors`)."""
+        return exponent_vectors(self.nvars, d) if d >= 0 else ()
 
+    @functools.cache
     def index(self, d):
-        self.basis(d)
-        return self._index[d]
+        return {e: i for i, e in enumerate(self.basis(d))}
 
 
 def poly_degree(poly):
@@ -203,6 +213,7 @@ class SlicedModule:
                 self.mult[(i, d)] = mat
         if check:
             self.check_commutativity()
+        self._koszul_ranks = {}
 
     def dim(self, d):
         return self.dims.get(d, 0)
@@ -215,6 +226,14 @@ class SlicedModule:
         if key in self.mult:
             return self.mult[key]
         return gfp.zeros(self.dim(d + 1), self.dim(d))
+
+    def koszul_rank(self, i, d):
+        """Rank of the Koszul differential out of wedge^i V (x) M_d, memoized."""
+        key = (i, d)
+        if key not in self._koszul_ranks:
+            D = _koszul_differential(self, i, d)
+            self._koszul_ranks[key] = gfp.rank(D, self.ring.p)
+        return self._koszul_ranks[key]
 
     def check_commutativity(self):
         p = self.ring.p
@@ -294,12 +313,7 @@ def truncate(m, k):
     if k < m.lo or k > m.hi:
         m.require(min(k, m.lo), max(k, m.hi), "truncate at %d" % k)
     dims = {d: (m.dim(d) if d >= k else 0) for d in range(m.lo, m.hi + 1)}
-    mult = {}
-    for d in range(m.lo, m.hi):
-        if d < k:
-            continue
-        for i in range(m.ring.nvars):
-            mult[(i, d)] = m.action(i, d)
+    mult = {(i, d): a for (i, d), a in m.mult.items() if d >= k}
     return SlicedModule(m.ring, (m.lo, m.hi), dims, mult, check=False,
                         complete_below=True)
 
@@ -307,22 +321,14 @@ def truncate(m, k):
 def extend_variable(m):
     """Same slices over one more variable; x_{n+1} acts by zero."""
     ring2 = PolyRing(m.ring.n + 1, m.ring.p)
-    mult = {}
-    for d in range(m.lo, m.hi):
-        for i in range(m.ring.nvars):
-            mult[(i, d)] = m.action(i, d)
-        # the new variable's maps default to zero
-    return SlicedModule(ring2, (m.lo, m.hi), dict(m.dims), mult, check=False,
+    return SlicedModule(ring2, (m.lo, m.hi), dict(m.dims), m.mult, check=False,
                         complete_below=m.complete_below)
 
 
 def shift_grading(m, t):
     """m(t) in the twist sense: slice d of the result is m_{d+t}."""
     dims = {d - t: m.dim(d) for d in range(m.lo, m.hi + 1)}
-    mult = {}
-    for d in range(m.lo, m.hi):
-        for i in range(m.ring.nvars):
-            mult[(i, d - t)] = m.action(i, d)
+    mult = {(i, d - t): a for (i, d), a in m.mult.items()}
     return SlicedModule(m.ring, (m.lo - t, m.hi - t), dims, mult, check=False,
                         complete_below=m.complete_below)
 
@@ -331,15 +337,11 @@ def shift_grading(m, t):
 # Koszul Betti numbers and regularity
 
 
-def _wedge_basis(nvars, i):
-    return list(combinations(range(nvars), i))
-
-
 def _koszul_differential(m, i, d):
     """wedge^i V (x) M_d -> wedge^{i-1} V (x) M_{d+1}."""
     nv = m.ring.nvars
-    src = _wedge_basis(nv, i)
-    tgt = _wedge_basis(nv, i - 1)
+    src = tuple(combinations(range(nv), i))
+    tgt = tuple(combinations(range(nv), i - 1))
     tgt_pos = {s: k for k, s in enumerate(tgt)}
     md, md1 = m.dim(d), m.dim(d + 1)
     D = gfp.zeros(md1 * len(tgt), md * len(src))
@@ -368,10 +370,8 @@ def koszul_betti(m, i, j):
     mid = m.dim(j - i) * math.comb(nv, i)
     if mid == 0:
         return 0
-    p = m.ring.p
-    d0 = gfp.rank(_koszul_differential(m, i, j - i), p) if i > 0 else 0
-    d1 = gfp.rank(_koszul_differential(m, i + 1, j - i - 1), p)
-    return mid - d0 - d1
+    d0 = m.koszul_rank(i, j - i) if i > 0 else 0
+    return mid - d0 - m.koszul_rank(i + 1, j - i - 1)
 
 
 def reg_S(m):

@@ -21,9 +21,9 @@ import numpy as np
 from . import gfp
 from .errors import DomainError
 from .extalg import from_coeff_vector
-from .efree import FreeEModule, GradedMap, dual_module
+from .efree import FreeEModule, dual_module
 from .eres import resolve_kernel_steps
-from .bgg import bgg_R, graded_map_homology
+from .bgg import FreeComplex, bgg_R, graded_map_homology
 from .smod import extend_variable, reg_S, truncate
 
 
@@ -119,7 +119,7 @@ class CohomologyTable:
         return "\n".join(lines)
 
 
-class TateWindow:
+class TateWindow(FreeComplex):
     """Positions [lo, hi] with modules T^k and differentials T^k -> T^{k+1}.
 
     Entries outside the window are dropped; construction verifies that the
@@ -127,24 +127,12 @@ class TateWindow:
     """
 
     def __init__(self, alg, lo, hi, modules, diffs, start_index):
-        self.alg = alg
-        self.lo = lo
-        self.hi = hi
-        self.modules = {k: f for k, f in modules.items() if lo <= k <= hi}
-        self.diffs = {k: d for k, d in diffs.items() if lo <= k < hi}
+        super().__init__(alg, lo, hi,
+                         {k: f for k, f in modules.items() if lo <= k <= hi},
+                         {k: d for k, d in diffs.items() if lo <= k < hi})
         self.start_index = start_index
         self.check_minimal()
         self.check_exact()
-
-    def module(self, k):
-        f = self.modules.get(k)
-        return f if f is not None else FreeEModule(self.alg, ())
-
-    def diff(self, k):
-        d = self.diffs.get(k)
-        if d is None:
-            return GradedMap(self.module(k), self.module(k + 1), {})
-        return d
 
     def check_minimal(self):
         for k in range(self.lo, self.hi):
@@ -154,8 +142,10 @@ class TateWindow:
 
     def check_exact(self):
         """Zero homology at every interior position."""
-        for k in range(self.lo + 1, self.hi):
-            defect = self.exactness_defect(k)
+        if self.hi - self.lo < 2:
+            return True
+        defects = graded_map_homology(*(self.diff(k) for k in range(self.lo, self.hi)))
+        for k, defect in enumerate(defects, self.lo + 1):
             if defect:
                 raise DomainError(
                     "Tate window not exact at position %d (defect %d)" % (k, defect))
@@ -165,7 +155,7 @@ class TateWindow:
         if not (self.lo < k < self.hi):
             raise DomainError("position %d is not interior to [%d, %d]"
                               % (k, self.lo, self.hi))
-        return graded_map_homology(self.diff(k - 1), self.diff(k))
+        return graded_map_homology(self.diff(k - 1), self.diff(k))[0]
 
 
 def cohomology_table(window):
@@ -218,15 +208,15 @@ def tate_window(m, lo, hi, start=None):
     return TateWindow(cx.alg, lo, hi, modules, diffs, k0)
 
 
-def tate_from_point(phi, lo, hi, require_sheaf=True):
+def tate_from_point(phi, lo, hi):
     """Tate window in which phi is the 0th differential.
 
     The right part dualizes a minimal free resolution of coker(phi-dual)
     built on phi-dual itself: it is the left part of phi-dual's window,
     reflected by k -> 1 - k.  The left part resolves ker(phi).  Raises
     DomainError if phi has unit entries, if phi-dual is not a minimal
-    presentation of its cokernel, or (with require_sheaf) if the resulting
-    generator degrees fall outside cohomology rows 0..n.
+    presentation of its cokernel, or if the resulting generator degrees
+    fall outside cohomology rows 0..n.
     """
     if lo > 0 or hi < 1:
         raise DomainError("window [%d, %d] must contain positions 0 and 1" % (lo, hi))
@@ -244,13 +234,12 @@ def tate_from_point(phi, lo, hi, require_sheaf=True):
     modules.update({**left_modules, 0: phi.source, 1: phi.target})
     diffs.update({**left_diffs, 0: phi})
     win = TateWindow(alg, lo, hi, modules, diffs, 0)
-    if require_sheaf:
-        table = cohomology_table(win)
-        if table.anomalies:
-            raise DomainError(
-                "window has generators outside cohomology rows 0..%d: %s "
-                "(phi is not in the zero-regularity locus)"
-                % (alg.n, list(table.anomalies)[:4]))
+    anomalies = cohomology_table(win).anomalies
+    if anomalies:
+        raise DomainError(
+            "window has generators outside cohomology rows 0..%d: %s "
+            "(phi is not in the zero-regularity locus)"
+            % (alg.n, list(anomalies)[:4]))
     return win
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exttate.extalg import (Algebra, ExtElement, FieldContext, format_element,
-                            mono_mul, parse_element, random_element)
+from exttate.extalg import (Algebra, ExtElement, format_element, mono_mul,
+                            parse_element, random_element)
 from exttate.smod import PolyRing
 
 
@@ -16,16 +16,30 @@ def E(alg, i):
 
 
 def test_field_context_requires_prime():
-    FieldContext(2)
-    FieldContext(32003)
-    FieldContext(94906249)  # the largest prime with (p-1)^2 < 2^53
+    Algebra(0, 2)
+    Algebra(0, 32003)
+    Algebra(0, 94906249)  # the largest prime with (p-1)^2 < 2^53
     with pytest.raises(ValueError):
-        FieldContext(32001)
+        Algebra(0, 32001)
     for too_large in (94906267, 2 ** 31 - 1):
         with pytest.raises(ValueError):
-            FieldContext(too_large)
+            Algebra(0, too_large)
         with pytest.raises(ValueError):
             PolyRing(1, too_large)
+
+
+def test_ring_tables_shared_per_n_p():
+    """Equal rings share one cached table; the shared arrays are read-only."""
+    mat = Algebra(3, 101).left_mul_matrix(0b101, -1)
+    assert mat is Algebra(3, 101).left_mul_matrix(0b101, -1)
+    right = Algebra(3, 101).right_mul_matrix(2, -1)
+    assert right is Algebra(3, 101).right_mul_matrix(2, -1)
+    assert PolyRing(2, 101).basis(3) is PolyRing(2, 101).basis(3)
+    assert PolyRing(2, 101).index(3) is PolyRing(2, 101).index(3)
+    assert hash(PolyRing(2, 101)) == hash(PolyRing(2, 101))
+    assert Algebra(3, 101).basis(-2) != Algebra(2, 101).basis(-2)
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1
 
 
 def test_mono_mul_signs():
@@ -120,17 +134,21 @@ def test_parse_minus_signs():
 
 
 def test_right_left_mul_matrices_consistent():
-    alg = Algebra(3)
+    """Both multiplication matrices by e_i agree with ExtElement products,
+    for every n <= 3, every variable and every degree."""
     rng = np.random.default_rng(4)
-    for d in range(0, -3, -1):
-        x = random_element(alg, d, rng)
-        if x.is_zero:
-            continue
-        v = x.coeff_vector()
-        for i in range(alg.nvars):
-            prod = x * E(alg, i)
-            got = np.mod(alg.right_mul_matrix(i, d) @ v, alg.p)
-            if prod.is_zero:
-                assert not got.any()
-            else:
-                assert np.array_equal(got, prod.coeff_vector())
+    for n in range(4):
+        alg = Algebra(n)
+        for d in range(0, -alg.nvars - 1, -1):
+            x = random_element(alg, d, rng)
+            if x.is_zero:
+                continue
+            v = x.coeff_vector()
+            for i in range(alg.nvars):
+                for mat, prod in ((alg.right_mul_matrix(i, d), x * E(alg, i)),
+                                  (alg.left_mul_matrix(1 << i, d), E(alg, i) * x)):
+                    got = np.mod(mat @ v, alg.p)
+                    if prod.is_zero:
+                        assert not got.any()
+                    else:
+                        assert np.array_equal(got, prod.coeff_vector()), (n, i, d)

@@ -179,6 +179,6 @@ def test_census_saturation_small():
     t = TypeVectors((1,), (2,))
     counts = {}
     for n in (3, 4):
-        rep = census(t, n, 30, (-3, 6), seed=11, p=101, with_z=False)
+        rep = census(t, n, 30, (-3, 6), seed=11, p=101)
         counts[n] = len(rep["distinctTables"])
     assert counts[3] == counts[4]

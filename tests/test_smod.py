@@ -96,6 +96,25 @@ def test_reg_S_values():
     assert reg_S(cubic) == 2
 
 
+def test_reg_S_builds_each_koszul_differential_once(monkeypatch):
+    """The scan asks for the differential (i+1, r) again on the next
+    diagonal; the module's rank memo answers it without a rebuild."""
+    import exttate.smod as smod
+    built = []
+    build = smod._koszul_differential
+
+    def counting(m, i, d):
+        built.append((i, d))
+        return build(m, i, d)
+
+    monkeypatch.setattr(smod, "_koszul_differential", counting)
+    ring = PolyRing(2, P)
+    cubic = slice_presentation(
+        SPresentation.quotient(ring, [parse_poly(ring, "x0^3 + x1^3 + x2^3")]), (0, 8))
+    assert reg_S(cubic) == 2
+    assert built and len(built) == len(set(built))
+
+
 def test_reg_S_window_errors():
     with pytest.raises(WindowError):
         reg_S(k_sliced(2, (0, 4)))
