@@ -11,7 +11,10 @@ coefficients.
 Slice-level data (cokernels) is held in VectorizedModule: graded
 dimensions plus one GF(p) matrix per variable mapping slice d to d-1.
 FreeEModule and VectorizedModule both expose the e_i action as
-`action(i, d)`, so the resolution engine covers either one.
+`action(i, d)` and its product with slice vectors as `apply(i, d, x)`, so
+the resolution engine covers either one.  On a free module `apply` is a
+signed gather, since e_i sends each basis vector to 0 or to plus or minus
+one basis vector.
 
 The `.emat` matrix format shares its parser skeleton, `parse_matrix_file`,
 with the `.smod` format of the S-side.
@@ -31,7 +34,7 @@ class FreeEModule:
         self.alg = alg
         self.gen_degrees = tuple(int(g) for g in gen_degrees)
         self._offsets = {}
-        self._actions = {}
+        self._gathers = {}
 
     @property
     def rank(self):
@@ -63,18 +66,38 @@ class FreeEModule:
             self._offsets[d] = tuple(offs)
         return self._offsets[d]
 
-    def action(self, i, d):
-        """Right multiplication by e_i from slice d to slice d-1."""
+    def _gather(self, i, d):
+        """Right multiplication by e_i from slice d to slice d-1, as the
+        target rows it reaches, the source coordinate of each and its sign.
+
+        A basis monomial times e_i is 0 or plus or minus one basis monomial,
+        so the matrix of the action has at most one nonzero per row.
+        """
         key = (i, d)
-        if key not in self._actions:
-            blocks = [self.alg.right_mul_matrix(i, d - g) for g in self.gen_degrees]
-            out = gfp.zeros(self.slice_dim(d - 1), self.slice_dim(d))
+        if key not in self._gathers:
             ro = self.offsets(d - 1)
             co = self.offsets(d)
-            for r, b in enumerate(blocks):
-                out[ro[r]:ro[r] + b.shape[0], co[r]:co[r] + b.shape[1]] = b
-            self._actions[key] = out
-        return self._actions[key]
+            parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+            for r, g in enumerate(self.gen_degrees):
+                b = self.alg.right_mul_matrix(i, d - g)
+                rr, cc = np.nonzero(b)
+                parts.append((rr + ro[r], cc + co[r], b[rr, cc]))
+            self._gathers[key] = tuple(np.concatenate(v) for v in zip(*parts))
+        return self._gathers[key]
+
+    def action(self, i, d):
+        """Matrix of right multiplication by e_i from slice d to slice d-1."""
+        rows, cols, signs = self._gather(i, d)
+        out = gfp.zeros(self.slice_dim(d - 1), self.slice_dim(d))
+        out[rows, cols] = signs
+        return out
+
+    def apply(self, i, d, x):
+        """action(i, d) @ x mod p for slice-d columns x, as a signed gather."""
+        rows, cols, signs = self._gather(i, d)
+        out = gfp.zeros(self.slice_dim(d - 1), x.shape[1])
+        out[rows] = gfp.as_gf(x[cols] * signs[:, None], self.alg.p)
+        return out
 
     def element_from_vector(self, d, vec):
         """Slice-d coordinate vector -> list of exterior entries per generator."""
@@ -226,6 +249,10 @@ class VectorizedModule:
             return self.actions[key]
         return gfp.zeros(self.dim(d - 1), self.dim(d))
 
+    def apply(self, i, d, x):
+        """action(i, d) @ x mod p for slice-d columns x."""
+        return gfp.matmul(self.action(i, d), x, self.alg.p)
+
     def monomial_action(self, mask, d):
         out = gfp.eye(self.dim(d))
         cur = d
@@ -305,9 +332,7 @@ def vectorize_coker(f):
         if not dims.get(d) or not dims.get(d - 1):
             continue
         for i in range(f.alg.nvars):
-            act = gfp.matmul(projs[d - 1],
-                             gfp.matmul(tgt.action(i, d), sections[d], p), p)
-            actions[(i, d)] = act
+            actions[(i, d)] = gfp.matmul(projs[d - 1], tgt.apply(i, d, sections[d]), p)
     return VectorizedModule(f.alg, dims, actions)
 
 

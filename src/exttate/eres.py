@@ -105,9 +105,7 @@ def _kernel_generators(alg, amb, ker):
         basis = ker[d]
         up = ker.get(d + 1)
         if up is not None:
-            rad_cols = [gfp.matmul(amb.action(i, d + 1), up, alg.p)
-                        for i in range(alg.nvars)]
-            rad = np.hstack(rad_cols)
+            rad = np.hstack([amb.apply(i, d + 1, up) for i in range(alg.nvars)])
         else:
             rad = gfp.zeros(basis.shape[0], 0)
         idx = gfp.extend_column_basis(rad, basis, alg.p)

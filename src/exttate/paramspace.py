@@ -194,6 +194,8 @@ def census(tvec, n, trials, window, seed, p=None, stab_window=None):
     if trials < 1:
         raise DomainError("need at least one trial")
     lo, hi = int(window[0]), int(window[1])
+    if lo > 0 or hi < 1:
+        raise DomainError("window [%d, %d] must contain positions 0 and 1" % (lo, hi))
     prime = p if p is not None else DEFAULT_PRIME
     streams = np.random.SeedSequence(seed).spawn(trials)
     members = 0

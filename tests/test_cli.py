@@ -1,9 +1,13 @@
 """CLI behavior: exit codes, determinism, file errors, format round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import exttate
 from exttate.cli import main
 from exttate.tate import CohomologyTable
 
@@ -142,12 +146,17 @@ def test_tate_listing(capsys, cubic_file):
     (["sample", "--b", "1", "--bprime", "1", "-n", "-1", "--seed", "0"], {}, 2),
     (["census", "--b", "1", "--bprime", "1", "-n", "2", "--trials", "1",
       "--seed", "-1", "--window", "-1..1"], {}, 2),
+    (["census", "--b", "1", "--bprime", "1", "-n", "2", "--trials", "1",
+      "--seed", "0", "--window", "2..5"], {}, 1),
+    (["census", "--b", "1", "--bprime", "1", "-n", "2", "--trials", "1",
+      "--seed", "0", "--window", "6..-3"], {}, 1),
     (["reg", "--ematrix", "{pt}", "--stab-window", "0"], {}, 1),
     (["reg", "--ematrix", "{pt}", "--max-steps", "-1"], {}, 2),
     (["mccullough", "--ell", "1", "--max-steps", "-1"], {}, 2),
     (["alpha", "--ematrix", "{pt}", "--k-range", "3..1"], {}, 1),
 ], ids=["p-not-prime", "p-above-bound", "emat-header-p", "smod-header-p", "mccullough-p",
-        "sample-negative-n", "census-negative-seed", "stab-window-zero",
+        "sample-negative-n", "census-negative-seed", "census-window-without-0-1",
+        "census-empty-window", "stab-window-zero",
         "reg-negative-max-steps", "mccullough-negative-max-steps", "alpha-empty-k-range"])
 def test_bad_input_exits_without_traceback(capsys, tmp_path, point_file, argv, files, want):
     paths = {"pt": point_file}
@@ -163,3 +172,36 @@ def test_bad_input_exits_without_traceback(capsys, tmp_path, point_file, argv, f
     assert "Traceback" not in err
     if files:
         assert "line 1" in err
+
+
+QUADRIC_L3 = """ealg n=5 p=32003
+rowdegs=[0] coldegs=[-2]
+entry 0 0 : e0*e1 + e2*e3 + e4*e5
+"""
+
+SCIPY_PROBE = """
+import sys
+from exttate import cli, gfp
+blocks = gfp._blocks
+split = []
+def counting_blocks(a):
+    found = blocks(a)
+    split.append(found is not None)
+    return found
+gfp._blocks = counting_blocks
+assert cli.main(["betti", "--direct", "--imax", "3", "--ematrix", sys.argv[1]]) == 0
+assert any(split), "no elimination took the block path"
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_block_path_imports_no_scipy(tmp_path):
+    """Components are found with numpy alone: importing scipy would add to
+    every process's start-up time and resident memory."""
+    path = tmp_path / "quadric_l3.emat"
+    path.write_text(QUADRIC_L3)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(exttate.__file__)))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(path)],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -150,6 +150,25 @@ def test_free_as_vectorized_checks():
     f = free_as_vectorized(FreeEModule(alg, (0, -1)))
     f.check()
     assert f.total_dim() == 16  # two shifted copies of E
+    # with mixed generator degrees, action(i, d) is the block-diagonal right
+    # multiplication by e_i, and apply(i, d, x) is its product with x
+    p = 3
+    alg = Algebra(2, p)
+    f = FreeEModule(alg, (0, -1, 1, 0))
+    rng = np.random.default_rng(7)
+    lo, hi = f.degree_range()
+    for d in range(lo, hi + 2):
+        for i in range(alg.nvars):
+            want = gfp.zeros(f.slice_dim(d - 1), f.slice_dim(d))
+            r0 = c0 = 0
+            for g in f.gen_degrees:
+                b = alg.right_mul_matrix(i, d - g)
+                want[r0:r0 + b.shape[0], c0:c0 + b.shape[1]] = b
+                r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
+            assert np.array_equal(f.action(i, d), want)
+            x = gfp.random_matrix(f.slice_dim(d), 3, p, rng)
+            assert np.array_equal(f.apply(i, d, x), gfp.matmul(want, x, p))
+    free_as_vectorized(f).check()
 
 
 def test_ematrix_round_trip():

@@ -1,5 +1,7 @@
 """The GF(p) kernel against a naive elimination oracle."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,7 +53,7 @@ def test_rref_matches_naive(data):
 @given(st.data())
 def test_nullspace_basis(data):
     p = data.draw(st.sampled_from(PRIMES))
-    m = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(0, 6))
     n = data.draw(st.integers(1, 6))
     rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
     A = gfp.random_matrix(m, n, p, rng)
@@ -73,6 +75,48 @@ def test_blocked_path_crosses_panels():
     R, piv = gfp.rref(A, p)
     R2, piv2 = naive_rref(A, p)
     assert piv == piv2 and np.array_equal(R, R2)
+
+
+def block_matrix(p, rng, dominant):
+    """A shuffled block-diagonal matrix with some zero rows and columns and
+    a larger side of at least 512; with `dominant`, one random 8 x 600
+    block holds more than half of the rows plus columns."""
+    blocks = [gfp.random_matrix(8, 600, p, rng)] if dominant else []
+    rows = cols = 0
+    while max(rows, cols) < (128 if dominant else 512):
+        r, c = (int(v) for v in rng.integers(1, 9, size=2))
+        blocks.append(gfp.random_matrix(r, c, p, rng) * (rng.random((r, c)) < 0.5))
+        rows, cols = rows + r, cols + c
+    pad_rows, pad_cols = (int(v) for v in rng.integers(0, 20, size=2))
+    A = gfp.zeros(sum(b.shape[0] for b in blocks) + pad_rows,
+                  sum(b.shape[1] for b in blocks) + pad_cols)
+    r0 = c0 = 0
+    for b in blocks:
+        A[r0:r0 + b.shape[0], c0:c0 + b.shape[1]] = b
+        r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
+    A = A[rng.permutation(A.shape[0])][:, rng.permutation(A.shape[1])]
+    return A.T.copy() if rng.random() < 0.5 else A
+
+
+@settings(max_examples=10, deadline=None)
+@given(p=st.sampled_from([2, 3, 101]), seed=st.integers(0, 10**6), dominant=st.booleans())
+def test_block_path_matches_dense_kernel(p, seed, dominant):
+    A = block_matrix(p, np.random.default_rng(seed), dominant)
+    assert (gfp._blocks(A) is None) == dominant
+    base, cand = A[:, :A.shape[1] // 3], A[:, A.shape[1] // 3:]
+    with mock.patch.object(gfp, "_blocks", lambda A: None):
+        R, piv = gfp.rref(A, p)
+        N = gfp.nullspace(A, p)
+        ext = gfp.extend_column_basis(base, cand, p)
+    E, epiv = gfp.echelon(A, p)
+    assert epiv == piv
+    if not dominant:  # the split path returns the rref itself
+        assert np.array_equal(E, R)
+    assert gfp.rank(A, p) == len(piv)
+    got_R, got_piv = gfp.rref(A, p)
+    assert got_piv == piv and np.array_equal(got_R, R)
+    assert np.array_equal(gfp.nullspace(A, p), N)
+    assert gfp.extend_column_basis(base, cand, p) == ext
 
 
 def test_extend_column_basis_greedy():
