@@ -93,6 +93,26 @@ def _slice_kernel(phi):
     return ker
 
 
+def _cover_kernel(m, f0, gens):
+    """Per-degree nullspace bases of the cover F_0 -> m sending the
+    generators of F_0 to the vectors of `gens`."""
+    alg = m.alg
+    ker = {}
+    lo, hi = f0.degree_range()
+    for d in range(hi, lo - 1, -1):
+        cols = []
+        for (g, v) in gens:
+            for mask in alg.basis(d - g):
+                act = m.monomial_action(mask, g)
+                cols.append(gfp.matmul(act, v.reshape(-1, 1), alg.p))
+        if not cols:
+            continue
+        N = gfp.nullspace(np.hstack(cols), alg.p)
+        if N.shape[1]:
+            ker[d] = N
+    return ker
+
+
 def _kernel_generators(alg, amb, ker):
     """Minimal generators of a graded submodule of `amb` given slice bases.
 
@@ -136,29 +156,32 @@ class Resolver:
     phi] and the kernel of phi, so its steps resolve ker(phi).  All choices
     run through the deterministic echelon pivoting in gfp, so reruns
     reproduce the same matrices.
+
+    A step computes the kernel it covers, that of the map built last, on
+    entry: the last step of a run then builds no kernel that nothing reads,
+    and no kernel outlives the step that covers it.
     """
 
     def __init__(self, module):
         if module.is_zero:
             raise DomainError("cannot resolve the zero module")
-        self.module = module
-        self.alg = module.alg
-        self.frees = []
-        self.steps = []
-        self.terminated = False
-        self._ker = None  # dict degree -> basis columns in frees[-1] coords
+        self._start(module.alg, module, [], None)
 
     @classmethod
     def of_kernel(cls, phi):
         """Resolver of ker(phi), seeded with F_0 = source(phi)."""
         res = cls.__new__(cls)
-        res.module = None
-        res.alg = phi.alg
-        res.frees = [phi.source]
-        res.steps = []
-        res.terminated = False
-        res._ker = _slice_kernel(phi)
+        res._start(phi.alg, None, [phi.source], lambda: _slice_kernel(phi))
         return res
+
+    def _start(self, alg, module, frees, last_kernel):
+        self.module = module
+        self.alg = alg
+        self.frees = frees
+        self.steps = []
+        self.terminated = False
+        # () -> kernel of the map into frees[-1], by degree; None before step 0
+        self._last_kernel = last_kernel
 
     def _cover_module(self):
         m = self.module
@@ -167,20 +190,7 @@ class Resolver:
         gens = _kernel_generators(self.alg, m, units)
         f0 = FreeEModule(self.alg, tuple(g for g, _ in gens))
         self.frees.append(f0)
-        ker = {}
-        flo, fhi = f0.degree_range()
-        for d in range(fhi, flo - 1, -1):
-            cols = []
-            for (g, v) in gens:
-                for mask in self.alg.basis(d - g):
-                    act = m.monomial_action(mask, g)
-                    cols.append(gfp.matmul(act, v.reshape(-1, 1), self.alg.p))
-            if not cols:
-                continue
-            N = gfp.nullspace(np.hstack(cols), self.alg.p)
-            if N.shape[1]:
-                ker[d] = N
-        self._ker = ker
+        self._last_kernel = lambda: _cover_kernel(m, f0, gens)
 
     def step(self):
         """Extend the resolution by one free module; returns its gen degrees."""
@@ -189,7 +199,7 @@ class Resolver:
         if not self.frees:
             self._cover_module()
             return self.frees[0].gen_degrees
-        gens = _kernel_generators(self.alg, self.frees[-1], self._ker)
+        gens = _kernel_generators(self.alg, self.frees[-1], self._last_kernel())
         if not gens:
             self.terminated = True
             return ()
@@ -201,7 +211,7 @@ class Resolver:
             raise DomainError("internal: non-minimal syzygy step")
         self.steps.append(phi)
         self.frees.append(phi.source)
-        self._ker = _slice_kernel(phi)
+        self._last_kernel = lambda: _slice_kernel(phi)
         return phi.source.gen_degrees
 
     def extend(self, steps):

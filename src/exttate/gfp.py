@@ -64,10 +64,16 @@ def check_prime(p):
 
 
 def _mod(a, p):
-    """Exact reduction into [0, p) for integer-valued float64 data < 2^53.
+    """Exact reduction into [0, p) of integer-valued float64 data a with
+    -(2^53 - 2p) <= a < 2^53.
 
     floor(a/p) computed through the float reciprocal can be off by one, so
-    a two-sided fixup follows; much faster than np.mod on float64.
+    a two-sided fixup follows; much faster than np.mod on float64.  The
+    quotient q is then within one of the true one, so |q*p| <= |a| + 2p
+    must stay exactly representable: below the range a product rounds (at
+    p = 94,906,249, -(2^53 - 1) reduces to 71321477, not 71321476).  Every
+    caller stays inside it: x - c*y with residues x, c, y lies in
+    [-(p-1)^2, p), and matmul reduces non-negative sums below 2^53.
     """
     a = np.asarray(a, dtype=np.float64)
     q = np.floor(a * (1.0 / p))

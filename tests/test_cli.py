@@ -130,6 +130,81 @@ def test_sample_census_mccullough(capsys, tmp_path):
     assert "expected l-2 = -1: OK" in out
 
 
+# `sample --b 1 --bprime 2 -n 3 --seed 0 --out pt3.emat`
+POINT_N3 = """ealg n=3 p=32003
+rowdegs=[1, 1] coldegs=[0]
+entry 0 0 : 27222*e0 + 20384*e1 + 16357*e2 + 8633*e3
+entry 1 0 : 9851*e0 + 1311*e1 + 2407*e2 + 528*e3
+"""
+
+CUBIC_TATE_MATRICES = """T^-1 = E(2)^6
+T^0 = E(1)^3 + E(0)^1
+T^1 = E(0)^1 + E(-1)^3
+T^2 = E(-2)^6
+# differential -1 -> 0
+ealg n=2 p=32003
+rowdegs=[0, -1, -1, -1] coldegs=[-2, -2, -2, -2, -2, -2]
+entry 0 0 : e1*e2
+entry 0 2 : e0*e2
+entry 0 5 : e0*e1
+entry 1 0 : e0
+entry 1 1 : e1
+entry 1 3 : e2
+entry 2 1 : e0
+entry 2 2 : e1
+entry 2 4 : e2
+entry 3 3 : e0
+entry 3 4 : e1
+entry 3 5 : e2
+# differential 0 -> 1
+ealg n=2 p=32003
+rowdegs=[1, 1, 1, 0] coldegs=[0, -1, -1, -1]
+entry 0 0 : e0
+entry 0 1 : 32002*e1*e2
+entry 1 0 : 32002*e1
+entry 1 2 : e0*e2
+entry 2 0 : e2
+entry 2 3 : 32002*e0*e1
+entry 3 1 : e0
+entry 3 2 : e1
+entry 3 3 : e2
+# differential 1 -> 2
+ealg n=2 p=32003
+rowdegs=[2, 2, 2, 2, 2, 2] coldegs=[1, 1, 1, 0]
+entry 0 0 : e0
+entry 0 3 : e1*e2
+entry 1 0 : 32002*e1
+entry 1 1 : e0
+entry 2 0 : e2
+entry 2 2 : e0
+entry 3 1 : 32002*e1
+entry 3 3 : e0*e2
+entry 4 1 : e2
+entry 4 2 : 32002*e1
+entry 5 2 : e2
+entry 5 3 : e0*e1
+"""
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["tate", "--module", "{cubic}", "--window", "-1..2", "--matrices"],
+     CUBIC_TATE_MATRICES),
+    (["descend", "--ematrix", "{pt}", "--window", "-2..4"],
+     "n0 = 1\nspan: e0 + 29577*e2 + 5482*e3\nspan: e1 + 25530*e2 + 1674*e3\n"),
+    (["betti", "--ematrix", "{pt}", "--imax", "4"],
+     "row\\i 0 1 2 3 4\n    0 1 2 3 4 5\n"),
+    (["reg", "--ematrix", "{pt}"], "regularity = 0 (certified)\n"),
+], ids=["tate-matrices-cubic", "descend-point-n3", "betti-point-n3", "reg-point-n3"])
+def test_golden_stdout(capsys, tmp_path, cubic_file, argv, want):
+    """Whole stdout, byte for byte: the Tate differentials and descent spans
+    print the matrices the Resolver chose, not only Betti numbers."""
+    pt = tmp_path / "pt3.emat"
+    pt.write_text(POINT_N3)
+    code, out, _ = run(capsys, *[a.format(cubic=cubic_file, pt=str(pt)) for a in argv])
+    assert code == 0
+    assert out == want
+
+
 def test_tate_listing(capsys, cubic_file):
     code, out, _ = run(capsys, "tate", "--module", cubic_file, "--window", "-1..2")
     assert code == 0

@@ -11,7 +11,8 @@ from exttate.bgg import graded_map_homology
 from exttate.errors import DomainError
 from exttate.extalg import Algebra, ExtElement, parse_element, random_element
 from exttate.efree import FreeEModule, GradedMap, free_as_vectorized, vectorize_coker
-from exttate.eres import (CartanScanner, alpha, alpha_hilbert_rhs, cone_extend,
+from exttate import eres
+from exttate.eres import (CartanScanner, Resolver, alpha, alpha_hilbert_rhs, cone_extend,
                           minimal_free_resolution, regularity, resolve_kernel_steps)
 
 P = 32003
@@ -246,3 +247,57 @@ def test_kernel_steps_splice_exactly_property(phi):
     maps = resolve_kernel_steps(phi, 3)
     if maps:
         assert graded_map_homology(*maps[::-1], phi) == [0] * len(maps)
+
+
+def test_no_step_builds_a_kernel_nothing_reads(monkeypatch):
+    """A step builds the kernel of the previous map on entry, so the last
+    step of a run builds none: k steps over ker(phi) take k kernels, and a
+    module resolved through step i takes i - 1 (the cover's kernel is not
+    a slice kernel)."""
+    built = []
+    slice_kernel = eres._slice_kernel
+
+    def counting(phi):
+        built.append(phi)
+        return slice_kernel(phi)
+
+    monkeypatch.setattr(eres, "_slice_kernel", counting)
+    alg = Algebra(1)
+    e0 = ExtElement.variable(alg, 0)
+    # ker(e0 : E(-1) -> E) = e0*E(-1); its resolution repeats e0 and never ends
+    phi = GradedMap(FreeEModule(alg, (-1,)), FreeEModule(alg, (0,)), {(0, 0): e0})
+    for k in range(1, 5):
+        built.clear()
+        assert len(resolve_kernel_steps(phi, k)) == k
+        assert len(built) == k
+        assert len(set(map(id, built))) == k
+    k_mod = residue_field(alg)
+    for i in range(5):
+        built.clear()
+        res = minimal_free_resolution(k_mod, i)
+        assert len(res.frees) == i + 1 and not res.terminated
+        assert len(built) == max(i - 1, 0)
+
+
+def assert_same_resolution(r1, r2):
+    assert r1.terminated == r2.terminated
+    assert [f.gen_degrees for f in r1.frees] == [f.gen_degrees for f in r2.frees]
+    assert len(r1.steps) == len(r2.steps)
+    for g1, g2 in zip(r1.steps, r2.steps):
+        lo, hi = g1.source.degree_range()
+        for d in range(lo, hi + 1):
+            assert np.array_equal(g1.slice_matrix(d), g2.slice_matrix(d)), d
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graded_maps(), st.integers(0, 3), st.integers(0, 3))
+def test_incremental_extension_property(phi, a, b):
+    """regularity and the Tate splice step a Resolver one step at a time;
+    stopping and resuming must choose the same generators and matrices as
+    one run of the same length."""
+    assert_same_resolution(Resolver.of_kernel(phi).extend(a).extend(b),
+                           Resolver.of_kernel(phi).extend(a + b))
+    m = vectorize_coker(phi)
+    if not m.is_zero:
+        assert_same_resolution(Resolver(m).extend(a).extend(b),
+                               Resolver(m).extend(a + b))

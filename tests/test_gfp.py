@@ -155,3 +155,24 @@ def test_rank_matches_sympy_at_largest_accepted_prime():
         A = (a @ b) % p
         exact = DomainMatrix([[field(int(v)) for v in row] for row in A], (6, 6), field)
         assert gfp.rank(A.astype(np.float64), p) == exact.rank()
+
+
+def test_mod_exact_over_its_range_at_largest_accepted_prime():
+    """_mod is exact for -(2^53 - 2p) <= a < 2^53: the range ends, the
+    residue-product extremes, and random x - c*y against Python ints.
+    Around multiples of p the float quotient is off by one either way, so
+    they exercise both fixups."""
+    p = 94906249
+    gfp.check_prime(p)
+    lo, hi = -(2 ** 53 - 2 * p), 2 ** 53 - 1
+    rng = np.random.default_rng(53)
+    near = rng.integers(0, 3 * p, size=20_000)
+    mult = rng.integers(lo // p + 1, hi // p, size=20_000) * p
+    edges = np.concatenate([np.arange(lo, lo + 2000), np.arange(hi - 1999, hi + 1),
+                            lo + near, hi - near, mult - 1, mult, mult + 1,
+                            [-(p - 1) ** 2, (p - 1) ** 2, -p, -1, 0, 1, p - 1, p]])
+    x, c, y = (rng.integers(0, p, size=200_000) for _ in range(3))
+    for ints in (edges, x - c * y):
+        got = gfp._mod(ints.astype(np.float64), p)
+        want = np.array([int(v) % p for v in ints], dtype=np.float64)
+        assert np.array_equal(got, want)
