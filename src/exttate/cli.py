@@ -65,6 +65,14 @@ def _read(path):
         raise ParseError("cannot read %s: %s" % (path, exc))
 
 
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError("cannot write %s: %s" % (path, exc))
+
+
 def _load_sliced(path, lo, hi, start, p):
     """Parse an .smod file and slice it widely enough for a Tate window,
     retrying with wider windows when reg_S asks for more slices."""
@@ -235,8 +243,7 @@ def cmd_sample(args):
     header = "# type b=%s b'=%s d=%s seed=%d\n" % (
         list(tvec.b), list(tvec.bprime), list(d), args.seed)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(header + text)
+        _write(args.out, header + text)
     else:
         _emit(header + text)
     return 0

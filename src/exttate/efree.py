@@ -235,9 +235,6 @@ class VectorizedModule:
     def dim(self, d):
         return self.dims.get(d, 0)
 
-    def total_dim(self):
-        return sum(self.dims.values())
-
     def support(self):
         if not self.dims:
             return (0, -1)

@@ -49,9 +49,6 @@ class BettiTable:
     def rows(self):
         return sorted({i + j for i, j in self.entries})
 
-    def row_profile(self, i):
-        return frozenset(i + j for (ii, j) in self.entries if ii == i)
-
     def records(self):
         """(i, j, row, value) tuples sorted by (i, j)."""
         return [(i, j, i + j, self.entries[(i, j)])
@@ -316,10 +313,6 @@ class RegularityResult:
         self.steps = steps
         self.top_rows = top_rows
         self.truncated_below = truncated_below
-
-    def __iter__(self):
-        yield self.value
-        yield self.certified
 
     def __repr__(self):
         tag = "certified" if self.certified else "uncertified"

@@ -5,39 +5,54 @@ All arithmetic is exact as long as (p-1)^2 < 2^53: every product of two
 residues is then an integer that float64 represents exactly, and matmul
 chunks its inner dimension so accumulated dot products stay below 2^53
 as well (Dumas-Giorgi-Pernet, ACM TOMS 2008).  `check_prime` enforces the
-bound; the largest accepted prime is 94,906,249.  Elimination uses
-deterministic first-nonzero pivoting (fixed panel size), so echelon
-forms, kernels and chosen generators are reproducible run to run.
+bound; the largest accepted prime is 94,906,249.
+
+Elimination is one Gauss-Jordan pass that leaves A in reduced row echelon
+form.  Columns are taken left to right, one pivot at a time: the pivot
+row is scaled to a leading 1, and only the rows with a nonzero in the
+pivot column, above and below, are updated, from the pivot column on.
+Each update x - c*y of residues x, c, y lies in [-(p-1)^2, p), inside the
+range where `_mod` is exact, so no step rounds.
 
 Callers read only canonical results, which do not depend on how the
-elimination ran: `rank`; the reduced row echelon form from `rref`, which
-is unique; `nullspace`, built from that form; and the pivot columns from
-`echelon` and `extend_column_basis`, the lexicographically first column
-basis.  No caller reads the rows of a non-reduced `echelon` form.
+elimination ran: `rank`; the reduced row echelon form from `rref` and
+`echelon`, which is unique; `nullspace`, built from that form; and the
+pivot columns from `echelon` and `extend_column_basis`, the
+lexicographically first column basis.  All of them are determined by the
+row space, so the choice of pivot row is free.  The kernel takes the
+candidate with the fewest nonzeros from the pivot column on, the lowest
+index on a tie, to keep fill-in down: in alternating runs a (1; 2)
+census trial at n=7 took 3.6-3.8 s and 82 MB with it, against 6.1-6.2 s
+and 97 MB taking the first nonzero row (one thread, 2-core VM).  Dense
+input pays for it: the updates are rank-one, with no BLAS matmul, so a
+random dense 1000x1000 matrix at p = 32003 takes 5.3 s, against 0.62 s
+with the earlier panel kernel, which replayed its multipliers as
+matmuls.  No command of the package produces one; its slice matrices
+are sparse.
 
-That is what makes block-wise elimination safe.  Rows and columns are the
+The same fact makes block-wise elimination safe.  Rows and columns are the
 two sides of a bipartite graph whose edges are the nonzero entries; its
 connected components are independent blocks (the lever of structured
 Gaussian elimination, Faugere-Lachartre, PASCO 2010).  The pivot columns
 of the matrix are the union of the blocks' pivot columns, and its rref is
-the rows of the blocks' rrefs sorted by pivot column, so a split `echelon`
-returns that rref and `rref` finds it already reduced.  The input decides
+the rows of the blocks' rrefs sorted by pivot column.  The input decides
 the path, with no option: `echelon` splits a matrix when its larger side
 is at least 512 and no block holds half of its rows plus columns, and
-otherwise runs the dense panel kernel on the whole.  Below 512 the search
-costs about what it saves (at a threshold of 64 the mid-size cohomology
-eliminations took 3.27 s as blocks against 3.38 s dense, and the search
-added 0.38 s), while the Resolver slices of the ell=3 quadric, 0.1-0.6%
-dense and of up to 8,106 columns, split into blocks of at most 174 rows
-plus columns.  Components come from numpy alone, the package's only
-dependency: importing a sparse-graph library for them more than doubled
-the start-up time of a census process and added 30 MB to its resident
-memory.
+otherwise eliminates the whole.  The 512 was measured with the panel
+kernel: below it the search cost about what it saved (at a threshold of
+64 the mid-size cohomology eliminations took 3.27 s as blocks against
+3.38 s dense, and the search added 0.38 s), while the Resolver slices of
+the ell=3 quadric, 0.1-0.6% dense and of up to 8,106 columns, split into
+blocks of at most 174 rows plus columns.  Under this kernel the split
+saves memory more than time: without it, ell=3 `betti --direct --imax 4`
+peaks at 318 MB instead of 247 MB, in about the same 1.4 s.  Components
+come from numpy alone, the package's only dependency: importing a
+sparse-graph library for them more than doubled the start-up time of a
+census process and added 30 MB to its resident memory.
 """
 
 import numpy as np
 
-_PANEL = 64
 _SPLIT_MIN = 512
 
 
@@ -72,8 +87,11 @@ def _mod(a, p):
     quotient q is then within one of the true one, so |q*p| <= |a| + 2p
     must stay exactly representable: below the range a product rounds (at
     p = 94,906,249, -(2^53 - 1) reduces to 71321477, not 71321476).  Every
-    caller stays inside it: x - c*y with residues x, c, y lies in
-    [-(p-1)^2, p), and matmul reduces non-negative sums below 2^53.
+    caller stays inside it: `_eliminate` reduces x - c*y with residues x,
+    c, y, in [-(p-1)^2, p), and a pivot row times an inverse, in
+    [0, (p-1)^2]; matmul reduces non-negative sums below 2^53; `nullspace`
+    negates residues; `as_gf` reduces caller data, which must lie in the
+    same range.
     """
     a = np.asarray(a, dtype=np.float64)
     q = np.floor(a * (1.0 / p))
@@ -81,12 +99,6 @@ def _mod(a, p):
     np.add(r, p, out=r, where=r < 0)
     np.subtract(r, p, out=r, where=r >= p)
     return r
-
-
-def _mod_pm(a, p):
-    """Reduction for values already in (-p, p): one-sided fixup."""
-    np.add(a, p, out=a, where=a < 0)
-    return a
 
 
 def as_gf(a, p):
@@ -129,98 +141,37 @@ def matmul(a, b, p):
     return _mod(out, p)
 
 
-def _invert_lower_unit(l, diag, p):
-    """Invert a small lower-triangular matrix with the given nonzero diagonal."""
-    k = l.shape[0]
-    out = eye(k)
-    for t in range(k):
-        dinv = inv_scalar(diag[t], p)
-        out[t, :t + 1] = _mod(out[t, :t + 1] * dinv, p)
-        if t + 1 < k:
-            col = l[t + 1:, t:t + 1]
-            out[t + 1:, :t + 1] = _mod(out[t + 1:, :t + 1] - col * out[t, :t + 1], p)
-    return out
-
-
 def _eliminate(A, p):
-    """Forward elimination of A in place; returns the pivot columns.
+    """Gauss-Jordan elimination of A in place; returns the pivot columns.
 
-    Afterwards A has the normalized pivot rows first (leading entry 1),
-    zero rows after.  Elimination runs on column panels; within a panel
-    the row operations touch only the panel, and the recorded multipliers
-    are replayed on the trailing columns as two BLAS matmuls.
+    Afterwards A is in reduced row echelon form, its pivot rows first and
+    zero rows after.  The pivot row is the candidate with the fewest
+    nonzeros from the pivot column on, the first on a tie.
     """
     m, n = A.shape
     pivcols = []
     pr = 0
-    c0 = 0
-    while pr < m and c0 < n:
-        b = min(_PANEL, n - c0)
-        panel = A[pr:, c0:c0 + b]  # view; row swaps applied to full rows
-        mrows = panel.shape[0]
-        mu = zeros(mrows, b)
-        diag = []
-        k = 0
-        for j in range(b):
-            if k >= mrows:
-                break
-            nz = np.nonzero(panel[k:, j])[0]
-            if nz.size == 0:
-                continue
-            r = k + int(nz[0])
-            if r != k:
-                A[[pr + k, pr + r]] = A[[pr + r, pr + k]]
-                mu[[k, r]] = mu[[r, k]]
-            v = panel[k, j]
-            diag.append(v)
-            panel[k] = _mod(panel[k] * inv_scalar(v, p), p)
-            if k + 1 < mrows:
-                below = panel[k + 1:, j].copy()
-                mu[k + 1:, k] = below
-                hit = np.nonzero(below)[0]
-                if hit.size:
-                    panel[k + 1 + hit] = _mod(
-                        panel[k + 1 + hit] - np.outer(below[hit], panel[k]), p)
-            pivcols.append(c0 + j)
-            k += 1
-        if k and c0 + b < n:
-            linv = _invert_lower_unit(mu[:k, :k], diag, p)
-            utr = matmul(linv, A[pr:pr + k, c0 + b:], p)
-            A[pr:pr + k, c0 + b:] = utr
-            if pr + k < m:
-                A[pr + k:, c0 + b:] = _mod_pm(
-                    A[pr + k:, c0 + b:] - matmul(mu[k:, :k], utr, p), p)
-        pr += k
-        c0 += b
+    for c in range(n):
+        if pr == m:
+            break
+        cand = np.flatnonzero(A[pr:, c])
+        if cand.size == 0:
+            continue
+        r = pr + int(cand[0])
+        if cand.size > 1:
+            r = pr + int(cand[np.argmin(np.count_nonzero(A[pr + cand, c:], axis=1))])
+        if r != pr:
+            A[[pr, r]] = A[[r, pr]]
+        v = A[pr, c]
+        if v != 1.0:
+            A[pr, c:] = _mod(A[pr, c:] * inv_scalar(v, p), p)
+        hit = np.flatnonzero(A[:, c])
+        hit = hit[hit != pr]
+        if hit.size:
+            A[hit, c:] = _mod(A[hit, c:] - np.outer(A[hit, c], A[pr, c:]), p)
+        pivcols.append(c)
+        pr += 1
     return pivcols
-
-
-def _reduce(E, piv, p):
-    """Backward pass in place: clear the entries above the pivots of an
-    echelon form, one pivot panel at a time (right to left).
-
-    A panel whose pivot block is already the identity skips its inversion,
-    and earlier rows with no entries in the panel's pivot columns skip the
-    update, so an already reduced E costs one scan.
-    """
-    r = len(piv)
-    if r <= 1:
-        return
-    pivarr = np.array(piv, dtype=np.intp)
-    b0 = r
-    while b0 > 0:
-        a0 = max(0, b0 - _PANEL)
-        rows = slice(a0, b0)
-        k = b0 - a0
-        v = E[rows, :][:, pivarr[a0:b0]]  # unit upper triangular
-        if np.count_nonzero(v) > k:
-            vinv = _invert_lower_unit(v.T, np.ones(k), p).T
-            E[rows] = matmul(vinv, E[rows], p)
-        if a0 > 0:
-            mults = E[:a0, :][:, pivarr[a0:b0]]
-            if mults.any():
-                E[:a0] = _mod_pm(E[:a0] - matmul(mults, E[rows], p), p)
-        b0 = a0
 
 
 def _components(A):
@@ -264,7 +215,7 @@ def _components(A):
 
 
 def _blocks(A):
-    """The independent blocks of A, or None where the dense kernel runs:
+    """The independent blocks of A, or None where A is eliminated whole:
     below _SPLIT_MIN rows or columns, or when one block holds half of the
     rows plus columns."""
     m, n = A.shape
@@ -277,12 +228,12 @@ def _blocks(A):
 
 
 def echelon(a, p):
-    """Row echelon form mod p; returns (E, pivot_cols).
+    """Reduced row echelon form mod p; returns (E, pivot_cols).
 
-    E has the normalized pivot rows first (leading entry 1), zero rows
-    after; pivot_cols is the ordered list of pivot column indices.  A
-    matrix that splits into independent blocks is eliminated block by
-    block, and E is then its reduced row echelon form.
+    E has the normalized pivot rows first (leading entry 1, zeros above
+    and below it), zero rows after; pivot_cols is the ordered list of
+    pivot column indices.  A matrix that splits into independent blocks
+    is eliminated block by block.
     """
     A = as_gf(a, p)
     blocks = _blocks(A)
@@ -292,7 +243,6 @@ def echelon(a, p):
     for rows, cols in blocks:
         B = A[np.ix_(rows, cols)]
         piv = _eliminate(B, p)
-        _reduce(B, piv, p)
         reduced.append((cols, B[:len(piv)], cols[piv]))
     pivcols = np.concatenate([pc for _, _, pc in reduced])
     order = np.argsort(pivcols)
@@ -306,10 +256,9 @@ def echelon(a, p):
 
 
 def rref(a, p):
-    """Reduced row echelon form mod p; returns (R, pivot_cols)."""
-    E, piv = echelon(a, p)
-    _reduce(E, piv, p)
-    return E, piv
+    """Reduced row echelon form mod p; returns (R, pivot_cols), the same
+    as `echelon`."""
+    return echelon(a, p)
 
 
 def rank(a, p):

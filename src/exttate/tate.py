@@ -52,9 +52,6 @@ class CohomologyTable:
         """Entries gamma_{i, k-i} for k across the column window."""
         return tuple(self.get(i, k - i) for k in range(self.col_lo, self.col_hi + 1))
 
-    def is_sheaf_like(self):
-        return not self.anomalies
-
     def max_regularity(self):
         """max{i+j : i >= 1, gamma_{i,j} != 0} + 1 on the window, else None."""
         vals = [i + j for (i, j) in self.gamma if i >= 1]

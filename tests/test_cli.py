@@ -229,12 +229,15 @@ def test_tate_listing(capsys, cubic_file):
     (["reg", "--ematrix", "{pt}", "--max-steps", "-1"], {}, 2),
     (["mccullough", "--ell", "1", "--max-steps", "-1"], {}, 2),
     (["alpha", "--ematrix", "{pt}", "--k-range", "3..1"], {}, 1),
+    (["sample", "--b", "1", "--bprime", "1", "-n", "3", "--seed", "0",
+      "--out", "{tmp}/nonexistent/dir/x.emat"], {}, 2),
 ], ids=["p-not-prime", "p-above-bound", "emat-header-p", "smod-header-p", "mccullough-p",
         "sample-negative-n", "census-negative-seed", "census-window-without-0-1",
         "census-empty-window", "stab-window-zero",
-        "reg-negative-max-steps", "mccullough-negative-max-steps", "alpha-empty-k-range"])
+        "reg-negative-max-steps", "mccullough-negative-max-steps", "alpha-empty-k-range",
+        "sample-out-missing-dir"])
 def test_bad_input_exits_without_traceback(capsys, tmp_path, point_file, argv, files, want):
-    paths = {"pt": point_file}
+    paths = {"pt": point_file, "tmp": str(tmp_path)}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
         paths["bad"] = str(tmp_path / name)

@@ -149,7 +149,7 @@ def test_free_as_vectorized_checks():
     alg = Algebra(2)
     f = free_as_vectorized(FreeEModule(alg, (0, -1)))
     f.check()
-    assert f.total_dim() == 16  # two shifted copies of E
+    assert sum(f.hilbert()) == 16  # two shifted copies of E
     # with mixed generator degrees, action(i, d) is the block-diagonal right
     # multiplication by e_i, and apply(i, d, x) is its product with x
     p = 3

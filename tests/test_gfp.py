@@ -63,7 +63,7 @@ def test_nullspace_basis(data):
         assert not gfp.matmul(A, N, p).any()
 
 
-def test_blocked_path_crosses_panels():
+def test_rref_of_low_rank_product():
     p = 32003
     rng = np.random.default_rng(11)
     A = gfp.matmul(gfp.random_matrix(200, 37, p, rng),
@@ -109,14 +109,40 @@ def test_block_path_matches_dense_kernel(p, seed, dominant):
         N = gfp.nullspace(A, p)
         ext = gfp.extend_column_basis(base, cand, p)
     E, epiv = gfp.echelon(A, p)
-    assert epiv == piv
-    if not dominant:  # the split path returns the rref itself
-        assert np.array_equal(E, R)
+    assert epiv == piv and np.array_equal(E, R)
     assert gfp.rank(A, p) == len(piv)
     got_R, got_piv = gfp.rref(A, p)
     assert got_piv == piv and np.array_equal(got_R, R)
     assert np.array_equal(gfp.nullspace(A, p), N)
     assert gfp.extend_column_basis(base, cand, p) == ext
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_results_ignore_row_order_and_redundant_rows(data):
+    """rref, echelon, rank, nullspace and extend_column_basis depend only on
+    the row space: permuting the rows, or adding zero or duplicate rows,
+    changes none of them.  The kernel's free choice of pivot row rests on
+    this."""
+    p = data.draw(st.sampled_from([2, 3, 101, 94906249]))
+    m = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(1, 8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+    density = data.draw(st.sampled_from([0.3, 0.6, 1.0]))
+    A = gfp.random_matrix(m, n, p, rng) * (rng.random((m, n)) < density)
+    extra = data.draw(st.lists(st.integers(-1, m - 1), max_size=4))  # -1: a zero row
+    B = np.vstack([A] + [A[[i]] if i >= 0 else gfp.zeros(1, n) for i in extra])
+    B = B[data.draw(st.permutations(range(B.shape[0])))]
+    w = data.draw(st.integers(0, n))
+    R, piv = gfp.rref(A, p)
+    for reduce in (gfp.rref, gfp.echelon):
+        R2, piv2 = reduce(B, p)
+        assert piv2 == piv
+        assert np.array_equal(R2[:len(piv)], R[:len(piv)]) and not R2[len(piv):].any()
+    assert gfp.rank(B, p) == len(piv)
+    assert np.array_equal(gfp.nullspace(B, p), gfp.nullspace(A, p))
+    assert (gfp.extend_column_basis(B[:, :w], B[:, w:], p)
+            == gfp.extend_column_basis(A[:, :w], A[:, w:], p))
 
 
 def test_extend_column_basis_greedy():

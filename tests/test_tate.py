@@ -36,7 +36,7 @@ def test_cubic_curve_table():
     assert tab.row(1) == (9, 6, 3, 1, 0)
     assert tab.row(0) == (0, 0, 1, 3, 6)
     assert tab.row(2) == (0, 0, 0, 0, 0)
-    assert tab.is_sheaf_like()
+    assert tab.anomalies == ()
     # ranks of the displayed complex
     assert win.module(0).twist_summands() == [(1, 3), (0, 1)]
     assert win.module(1).twist_summands() == [(0, 1), (-1, 3)]
