@@ -7,7 +7,11 @@ Two independent engines compute graded Betti numbers:
   resolves a VectorizedModule (step 0 is a minimal cover of the module)
   or the kernel of a GradedMap (`resolve_kernel_steps`, which splices the
   resolution onto the map's source); beta_{i,j} = number of generators of
-  F_i in degree j;
+  F_i in degree j.  Generators are chosen in kernel coordinates, on
+  stacks of dim ker_d rows instead of dim F_d: the kernel basis N from
+  `gfp.nullspace` has N[free] = I, each e_i maps ker_{d+1} into ker_d,
+  and greedy pivots do not change under an injective linear map (see
+  `_kernel_generators`);
 * the Koszul-type oracle `CartanScanner`: the dimension of the middle
   homology of  G_{i+1} (x) M_{j+i+1} -> G_i (x) M_{j+i} -> G_{i-1} (x) M_{j+i-1}
   where G_i is the i-th divided power of the variable space (dimensions
@@ -78,21 +82,22 @@ class BettiTable:
 
 
 def _slice_kernel(phi):
-    """Per-degree nullspace bases of a GradedMap's slice matrices."""
+    """Per-degree kernels of a GradedMap's slice matrices, as the
+    (basis, free columns) pairs of `gfp.nullspace`."""
     ker = {}
     lo, hi = phi.source.degree_range()
     for d in range(hi, lo - 1, -1):
         if phi.source.slice_dim(d) == 0:
             continue
-        N = gfp.nullspace(phi.slice_matrix(d), phi.alg.p)
+        N, free = gfp.nullspace(phi.slice_matrix(d), phi.alg.p)
         if N.shape[1]:
-            ker[d] = N
+            ker[d] = (N, free)
     return ker
 
 
 def _cover_kernel(m, f0, gens):
-    """Per-degree nullspace bases of the cover F_0 -> m sending the
-    generators of F_0 to the vectors of `gens`."""
+    """Per-degree kernels, as (basis, free columns) pairs, of the cover
+    F_0 -> m sending the generators of F_0 to the vectors of `gens`."""
     alg = m.alg
     ker = {}
     lo, hi = f0.degree_range()
@@ -104,28 +109,40 @@ def _cover_kernel(m, f0, gens):
                 cols.append(gfp.matmul(act, v.reshape(-1, 1), alg.p))
         if not cols:
             continue
-        N = gfp.nullspace(np.hstack(cols), alg.p)
+        N, free = gfp.nullspace(np.hstack(cols), alg.p)
         if N.shape[1]:
-            ker[d] = N
+            ker[d] = (N, free)
     return ker
 
 
 def _kernel_generators(alg, amb, ker):
-    """Minimal generators of a graded submodule of `amb` given slice bases.
+    """Minimal generators of a graded submodule K of `amb`.
 
-    In each degree (top down) the span of the e_i images of the slice
-    above is computed; basis columns extending that span are the chosen
-    generator representatives (ambient coordinates).
+    `ker` maps each degree d to (N, free): the columns of N are a basis of
+    K_d in ambient coordinates and N[free] is the identity.  In each degree
+    (top down) the basis columns extending the radical, the span of the
+    e_i images of K_{d+1}, are the generators; they are returned as
+    (degree, ambient vector) pairs.
+
+    The choice is made in kernel coordinates.  Every e_i maps K_{d+1} into
+    K_d, so a radical vector v lies in the span of N and has coordinates
+    v[free] over it.  Restricted to K_d, v -> v[free] is injective, and a
+    greedy column choice only asks whether a column lies in the span of the
+    columns before it, which an injective linear map preserves.  So
+    extending rad[free] by the unit columns picks the same columns as
+    extending rad by N, on a stack of dim K_d rows instead of dim amb_d.
     """
     gens = []
     for d in sorted(ker, reverse=True):
-        basis = ker[d]
+        basis, free = ker[d]
+        nk = basis.shape[1]
         up = ker.get(d + 1)
-        if up is not None:
-            rad = np.hstack([amb.apply(i, d + 1, up) for i in range(alg.nvars)])
+        if up is None:
+            idx = range(nk)
         else:
-            rad = gfp.zeros(basis.shape[0], 0)
-        idx = gfp.extend_column_basis(rad, basis, alg.p)
+            rad = np.hstack([amb.apply(i, d + 1, up[0])[free]
+                             for i in range(alg.nvars)])
+            idx = gfp.extend_column_basis(rad, gfp.eye(nk), alg.p)
         for c in idx:
             gens.append((d, basis[:, c]))
     return gens
@@ -183,7 +200,8 @@ class Resolver:
     def _cover_module(self):
         m = self.module
         lo, hi = m.support()
-        units = {d: gfp.eye(m.dim(d)) for d in range(lo, hi + 1) if m.dim(d)}
+        units = {d: (gfp.eye(m.dim(d)), np.arange(m.dim(d)))
+                 for d in range(lo, hi + 1) if m.dim(d)}
         gens = _kernel_generators(self.alg, m, units)
         f0 = FreeEModule(self.alg, tuple(g for g, _ in gens))
         self.frees.append(f0)

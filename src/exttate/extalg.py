@@ -197,17 +197,6 @@ class ExtElement:
                 terms[m] = (terms.get(m, 0) + sgn * ca * cb) % p
         return ExtElement(self.alg, terms)
 
-    def coeff_vector(self):
-        """Coordinates over the canonical basis of the element's slice."""
-        d = self.degree
-        if d is None:
-            raise ValueError("zero element has no slice")
-        idx = self.alg.index(d)
-        v = np.zeros(self.alg.dim(d))
-        for m, c in self.terms.items():
-            v[idx[m]] = c
-        return v
-
     def linear_coeffs(self):
         """For a degree -1 element, its coefficient vector over e_0..e_n."""
         if self.degree not in (-1,):

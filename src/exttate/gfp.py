@@ -269,11 +269,16 @@ def rank(a, p):
 
 
 def nullspace(a, p):
-    """Basis of the right kernel as columns, deterministic from the rref."""
+    """Basis N of the right kernel as columns, and its free columns.
+
+    Returns (N, free): `free` are the non-pivot columns of the rref, in
+    increasing order, and N[free] is the identity, so a kernel vector v has
+    the coordinates v[free] over N.  Deterministic from the rref.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     m, n = a.shape
     if m == 0:
-        return eye(n)
+        return eye(n), np.arange(n)
     R, piv = rref(a, p)
     pivset = set(piv)
     free = np.array([c for c in range(n) if c not in pivset], dtype=np.intp)
@@ -282,7 +287,7 @@ def nullspace(a, p):
         N[free, np.arange(len(free))] = 1.0
         if piv:
             N[np.array(piv, dtype=np.intp), :] = _mod(-R[:len(piv)][:, free], p)
-    return N
+    return N, free
 
 
 def extend_column_basis(base, cand, p):

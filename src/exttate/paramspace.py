@@ -116,7 +116,13 @@ def point_from_matrix(tvec, phi):
 def sample(tvec, n, rng, p=None):
     """Uniform matrix of type (b, b'): every allowed slot gets an
     independent uniform element of its slot degree; impossible slots
-    (degree 0, positive, or below -(n+1)) stay zero."""
+    (degree 0, positive, or below -(n+1)) stay zero.
+
+    A type with support index s > n is rejected: on P^n, columns 0 and 1
+    of a cohomology table have rows 0..n only, so no sheaf carries it."""
+    if tvec.s > n:
+        raise DomainError("%r has support index s=%d > n=%d: on P^n a "
+                          "cohomology table has rows 0..n only" % (tvec, tvec.s, n))
     alg = Algebra(n, p if p is not None else DEFAULT_PRIME)
     src = FreeEModule(alg, tvec.source_degrees())
     tgt = FreeEModule(alg, tvec.target_degrees())

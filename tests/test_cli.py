@@ -225,6 +225,9 @@ def test_tate_listing(capsys, cubic_file):
       "--seed", "0", "--window", "2..5"], {}, 1),
     (["census", "--b", "1", "--bprime", "1", "-n", "2", "--trials", "1",
       "--seed", "0", "--window", "6..-3"], {}, 1),
+    (["census", "--b", "1,1,1,1,1", "--bprime", "1", "-n", "2", "--trials", "2",
+      "--seed", "0", "--window", "-2..2"], {}, 1),
+    (["sample", "--b", "1", "--bprime", "0,0,0,1", "-n", "2", "--seed", "0"], {}, 1),
     (["reg", "--ematrix", "{pt}", "--stab-window", "0"], {}, 1),
     (["reg", "--ematrix", "{pt}", "--max-steps", "-1"], {}, 2),
     (["mccullough", "--ell", "1", "--max-steps", "-1"], {}, 2),
@@ -233,7 +236,8 @@ def test_tate_listing(capsys, cubic_file):
       "--out", "{tmp}/nonexistent/dir/x.emat"], {}, 2),
 ], ids=["p-not-prime", "p-above-bound", "emat-header-p", "smod-header-p", "mccullough-p",
         "sample-negative-n", "census-negative-seed", "census-window-without-0-1",
-        "census-empty-window", "stab-window-zero",
+        "census-empty-window", "census-support-above-n", "sample-support-above-n",
+        "stab-window-zero",
         "reg-negative-max-steps", "mccullough-negative-max-steps", "alpha-empty-k-range",
         "sample-out-missing-dir"])
 def test_bad_input_exits_without_traceback(capsys, tmp_path, point_file, argv, files, want):

@@ -1,6 +1,7 @@
 """Resolutions, Betti tables, the Cartan oracle, regularity, alpha, cones."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from exttate.bgg import graded_map_homology
 from exttate.errors import DomainError
 from exttate.extalg import Algebra, ExtElement, parse_element, random_element
 from exttate.efree import FreeEModule, GradedMap, free_as_vectorized, vectorize_coker
-from exttate import eres
+from exttate import eres, gfp
 from exttate.eres import (CartanScanner, Resolver, alpha, alpha_hilbert_rhs, cone_extend,
                           minimal_free_resolution, regularity, resolve_kernel_steps)
 
@@ -299,3 +300,62 @@ def test_incremental_extension_property(phi, a, b):
     if not m.is_zero:
         assert_same_resolution(Resolver(m).extend(a).extend(b),
                                Resolver(m).extend(a + b))
+
+
+def ambient_generators(alg, amb, ker):
+    """The earlier generator rule, kept as the oracle: extend the radical by
+    the kernel basis, both in ambient coordinates."""
+    gens = []
+    for d in sorted(ker, reverse=True):
+        basis = ker[d][0]
+        up = ker.get(d + 1)
+        if up is not None:
+            rad = np.hstack([amb.apply(i, d + 1, up[0]) for i in range(alg.nvars)])
+        else:
+            rad = gfp.zeros(basis.shape[0], 0)
+        for c in gfp.extend_column_basis(rad, basis, alg.p):
+            gens.append((d, basis[:, c]))
+    return gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graded_maps())
+def test_kernel_coordinate_generators_match_ambient_rule_property(phi):
+    """Generators picked in kernel coordinates are the ones the ambient rule
+    picks, vector for vector, on every step of Resolver(module) and of
+    Resolver.of_kernel(phi)."""
+    kernel_generators = eres._kernel_generators
+    checked = []
+
+    def compared(alg, amb, ker):
+        got = kernel_generators(alg, amb, ker)
+        want = ambient_generators(alg, amb, ker)
+        assert [d for d, _ in got] == [d for d, _ in want]
+        assert all(np.array_equal(v, w) for (_, v), (_, w) in zip(got, want))
+        checked.append(len(got))
+        return got
+
+    with mock.patch.object(eres, "_kernel_generators", compared):
+        Resolver.of_kernel(phi).extend(3)
+        m = vectorize_coker(phi)
+        if not m.is_zero:
+            Resolver(m).extend(3)
+    assert checked
+
+
+def test_generator_choice_eliminates_kernel_sized_stacks(monkeypatch):
+    """Each generator choice eliminates a stack of at most dim ker_d rows,
+    the number of candidate columns, never one of the ambient slice's."""
+    shapes = []
+    extend = gfp.extend_column_basis
+
+    def recording(base, cand, p):
+        shapes.append((np.shape(base)[0], np.shape(cand)[1]))
+        return extend(base, cand, p)
+
+    monkeypatch.setattr(gfp, "extend_column_basis", recording)
+    alg = Algebra(2)
+    minimal_free_resolution(residue_field(alg), 4)
+    minimal_free_resolution(quotient_by(alg, [parse_element(alg, "e0*e1 + e2*e0")]), 4)
+    assert shapes
+    assert all(rows <= nk for rows, nk in shapes), shapes

@@ -57,8 +57,9 @@ def test_nullspace_basis(data):
     n = data.draw(st.integers(1, 6))
     rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
     A = gfp.random_matrix(m, n, p, rng)
-    N = gfp.nullspace(A, p)
+    N, free = gfp.nullspace(A, p)
     assert N.shape[1] == n - gfp.rank(A, p)
+    assert np.array_equal(N[free], gfp.eye(len(free)))
     if N.shape[1]:
         assert not gfp.matmul(A, N, p).any()
 
@@ -69,8 +70,9 @@ def test_rref_of_low_rank_product():
     A = gfp.matmul(gfp.random_matrix(200, 37, p, rng),
                    gfp.random_matrix(37, 310, p, rng), p)
     assert gfp.rank(A, p) == 37
-    N = gfp.nullspace(A, p)
+    N, free = gfp.nullspace(A, p)
     assert N.shape[1] == 310 - 37
+    assert np.array_equal(N[free], gfp.eye(310 - 37))
     assert not gfp.matmul(A, N, p).any()
     R, piv = gfp.rref(A, p)
     R2, piv2 = naive_rref(A, p)
@@ -106,14 +108,15 @@ def test_block_path_matches_dense_kernel(p, seed, dominant):
     base, cand = A[:, :A.shape[1] // 3], A[:, A.shape[1] // 3:]
     with mock.patch.object(gfp, "_blocks", lambda A: None):
         R, piv = gfp.rref(A, p)
-        N = gfp.nullspace(A, p)
+        N, free = gfp.nullspace(A, p)
         ext = gfp.extend_column_basis(base, cand, p)
     E, epiv = gfp.echelon(A, p)
     assert epiv == piv and np.array_equal(E, R)
     assert gfp.rank(A, p) == len(piv)
     got_R, got_piv = gfp.rref(A, p)
     assert got_piv == piv and np.array_equal(got_R, R)
-    assert np.array_equal(gfp.nullspace(A, p), N)
+    got_N, got_free = gfp.nullspace(A, p)
+    assert np.array_equal(got_N, N) and np.array_equal(got_free, free)
     assert gfp.extend_column_basis(base, cand, p) == ext
 
 
@@ -140,7 +143,8 @@ def test_results_ignore_row_order_and_redundant_rows(data):
         assert piv2 == piv
         assert np.array_equal(R2[:len(piv)], R[:len(piv)]) and not R2[len(piv):].any()
     assert gfp.rank(B, p) == len(piv)
-    assert np.array_equal(gfp.nullspace(B, p), gfp.nullspace(A, p))
+    for got, want in zip(gfp.nullspace(B, p), gfp.nullspace(A, p)):
+        assert np.array_equal(got, want)
     assert (gfp.extend_column_basis(B[:, :w], B[:, w:], p)
             == gfp.extend_column_basis(A[:, :w], A[:, w:], p))
 

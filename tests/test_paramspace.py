@@ -23,6 +23,18 @@ def test_type_vectors_basic():
         TypeVectors((), (0,))
 
 
+def test_types_beyond_projective_space_rejected():
+    """On P^n both columns of a cohomology table have rows 0..n only, so a
+    type with support index s > n is rejected by sample and census."""
+    t = TypeVectors((1, 0, 0, 1), (1,))
+    assert t.s == 3
+    sample(t, 3, np.random.default_rng(0), p=101)
+    for run in (lambda: sample(t, 2, np.random.default_rng(0), p=101),
+                lambda: census(t, 2, 1, (-1, 1), seed=0, p=101)):
+        with pytest.raises(DomainError, match="s=3 > n=2"):
+            run()
+
+
 def test_degree_sequences():
     assert degree_sequence(TypeVectors((1, 3), (3, 1))) == (6, 9)
     assert degree_sequence(TypeVectors((1,), (1,))) == (1,)
