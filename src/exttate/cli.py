@@ -16,7 +16,7 @@ from .errors import DomainError, ParseError, WindowError
 from .extalg import Algebra, DEFAULT_PRIME, format_element, parse_element
 from .efree import FreeEModule, GradedMap, format_ematrix, parse_ematrix, vectorize_coker
 from . import eres
-from .smod import SPresentation, parse_smod, slice_presentation, reg_S
+from .smod import parse_smod, slice_presentation, reg_S
 from .tate import cohomology_table, descent, pushforward_check, tate_window, tate_from_point
 from . import paramspace
 
@@ -59,10 +59,12 @@ def _parse_intlist(text):
 
 def _read(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
+    except UnicodeDecodeError:
+        raise ParseError("cannot read %s: not UTF-8 text" % path)
 
 
 def _write(path, text):

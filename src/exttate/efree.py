@@ -10,11 +10,19 @@ coefficients.
 
 Slice-level data (cokernels) is held in VectorizedModule: graded
 dimensions plus one GF(p) matrix per variable mapping slice d to d-1.
+Every subspace has one form, the pair (N, free) of `gfp.nullspace`: the
+columns of N are a basis and N[free] is the identity.  A kernel slice is
+N itself; a quotient slice k^amb / image is the nullspace of image.T, with
+projection N.T and the coordinates `free` as its basis (`vectorize_coker`,
+and `smod.slice_presentation` on the S-side).
+
 FreeEModule and VectorizedModule both expose the e_i action as
-`action(i, d)` and its product with slice vectors as `apply(i, d, x)`, so
-the resolution engine covers either one.  On a free module `apply` is a
-signed gather, since e_i sends each basis vector to 0 or to plus or minus
-one basis vector.
+`action(i, d)` and its product with slice vectors as `apply(i, d, x)`.
+The resolution engine (`eres`) covers either one through `apply` alone;
+on a free module `apply` is a signed gather, since e_i sends each basis
+vector to 0 or to plus or minus one basis vector.  Whole action matrices
+are read by `vectorize_coker` (FreeEModule.action) and by the Cartan
+oracle and `cone_extend` in `eres` (VectorizedModule.action).
 
 The `.emat` matrix format shares its parser skeleton, `parse_matrix_file`,
 with the `.smod` format of the S-side.
@@ -34,7 +42,6 @@ class FreeEModule:
         self.alg = alg
         self.gen_degrees = tuple(int(g) for g in gen_degrees)
         self._offsets = {}
-        self._gathers = {}
 
     @property
     def rank(self):
@@ -73,17 +80,14 @@ class FreeEModule:
         A basis monomial times e_i is 0 or plus or minus one basis monomial,
         so the matrix of the action has at most one nonzero per row.
         """
-        key = (i, d)
-        if key not in self._gathers:
-            ro = self.offsets(d - 1)
-            co = self.offsets(d)
-            parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
-            for r, g in enumerate(self.gen_degrees):
-                b = self.alg.right_mul_matrix(i, d - g)
-                rr, cc = np.nonzero(b)
-                parts.append((rr + ro[r], cc + co[r], b[rr, cc]))
-            self._gathers[key] = tuple(np.concatenate(v) for v in zip(*parts))
-        return self._gathers[key]
+        ro = self.offsets(d - 1)
+        co = self.offsets(d)
+        parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+        for r, g in enumerate(self.gen_degrees):
+            b = self.alg.right_mul_matrix(i, d - g)
+            rr, cc = np.nonzero(b)
+            parts.append((rr + ro[r], cc + co[r], b[rr, cc]))
+        return tuple(np.concatenate(v) for v in zip(*parts))
 
     def action(self, i, d):
         """Matrix of right multiplication by e_i from slice d to slice d-1."""
@@ -250,15 +254,6 @@ class VectorizedModule:
         """action(i, d) @ x mod p for slice-d columns x."""
         return gfp.matmul(self.action(i, d), x, self.alg.p)
 
-    def monomial_action(self, mask, d):
-        out = gfp.eye(self.dim(d))
-        cur = d
-        for i in range(self.alg.nvars):
-            if mask & (1 << i):
-                out = gfp.matmul(self.action(i, cur), out, self.alg.p)
-                cur -= 1
-        return out
-
     def check(self):
         """Verify the action maps anticommute and square to zero."""
         p = self.alg.p
@@ -279,57 +274,31 @@ class VectorizedModule:
         return [self.dim(d) for d in range(lo, hi + 1)]
 
 
-def free_as_vectorized(f):
-    """A free module's own slice data."""
-    lo, hi = f.degree_range()
-    dims = {d: f.slice_dim(d) for d in range(lo, hi + 1)}
-    actions = {}
-    for d in range(lo + 1, hi + 1):
-        for i in range(f.alg.nvars):
-            actions[(i, d)] = f.action(i, d)
-    return VectorizedModule(f.alg, dims, actions)
-
-
-def _quotient_slice(image_cols, amb_dim, p):
-    """Quotient of k^amb by the column space: (projection, section)."""
-    if image_cols.shape[1] == 0:
-        return gfp.eye(amb_dim), gfp.eye(amb_dim)
-    R, piv = gfp.rref(image_cols.T, p)
-    pivset = set(piv)
-    free = np.array([c for c in range(amb_dim) if c not in pivset], dtype=np.intp)
-    proj = gfp.zeros(len(free), amb_dim)
-    section = gfp.zeros(amb_dim, len(free))
-    if len(free):
-        proj[np.arange(len(free)), free] = 1.0
-        section[free, np.arange(len(free))] = 1.0
-        if piv:
-            proj[:, np.array(piv, dtype=np.intp)] = np.mod(-R[:len(piv)][:, free].T, p)
-    return proj, section
-
-
 def vectorize_coker(f):
     """coker(f) as a VectorizedModule, computed slice by slice.
 
-    The quotient basis in each degree is the set of non-pivot coordinates
-    of the image's row echelon form, so generators are reproducible.
+    Slice d of the cokernel is the pair (N, free) of `gfp.nullspace` of the
+    transposed image: N.T projects the target slice onto the quotient, and
+    the non-pivot coordinates `free` of the image's row echelon form are
+    the quotient basis, so generators are reproducible.  The e_i action is
+    N_{d-1}.T times the columns `free` of the target's action matrix.
     """
     p = f.alg.p
     tgt = f.target
     lo, hi = tgt.degree_range()
-    projs, sections = {}, {}
-    dims = {}
+    quot = {}
     for d in range(lo, hi + 1):
-        amb = tgt.slice_dim(d)
-        if amb == 0:
-            continue
-        projs[d], sections[d] = _quotient_slice(f.slice_matrix(d), amb, p)
-        dims[d] = projs[d].shape[0]
+        if tgt.slice_dim(d):
+            quot[d] = gfp.nullspace(f.slice_matrix(d).T, p)
+    dims = {d: len(free) for d, (_, free) in quot.items()}
     actions = {}
     for d in range(lo + 1, hi + 1):
         if not dims.get(d) or not dims.get(d - 1):
             continue
+        proj = quot[d - 1][0].T
+        free = quot[d][1]
         for i in range(f.alg.nvars):
-            actions[(i, d)] = gfp.matmul(projs[d - 1], tgt.apply(i, d, sections[d]), p)
+            actions[(i, d)] = gfp.matmul(proj, tgt.action(i, d)[:, free], p)
     return VectorizedModule(f.alg, dims, actions)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import gfp
 from .errors import DomainError
-from .extalg import Algebra
+from .extalg import Algebra, mask_indices
 from .efree import FreeEModule, GradedMap, VectorizedModule
 from .smod import exponent_vectors
 
@@ -97,7 +97,11 @@ def _slice_kernel(phi):
 
 def _cover_kernel(m, f0, gens):
     """Per-degree kernels, as (basis, free columns) pairs, of the cover
-    F_0 -> m sending the generators of F_0 to the vectors of `gens`."""
+    F_0 -> m sending the generators of F_0 to the vectors of `gens`.
+
+    The image of the basis element gen * e_{i1}...e_{ik} (i1 < ... < ik) of
+    F_0 in degree d is v e_{i1}...e_{ik}, one `apply` per factor from v's
+    degree g down to d."""
     alg = m.alg
     ker = {}
     lo, hi = f0.degree_range()
@@ -105,8 +109,10 @@ def _cover_kernel(m, f0, gens):
         cols = []
         for (g, v) in gens:
             for mask in alg.basis(d - g):
-                act = m.monomial_action(mask, g)
-                cols.append(gfp.matmul(act, v.reshape(-1, 1), alg.p))
+                x = v[:, None]
+                for j, i in enumerate(mask_indices(mask)):
+                    x = m.apply(i, g - j, x)
+                cols.append(x)
         if not cols:
             continue
         N, free = gfp.nullspace(np.hstack(cols), alg.p)

@@ -100,19 +100,6 @@ class MatrixPoint:
         return "MatrixPoint(%r, n=%d)" % (self.tvec, self.n)
 
 
-def point_from_matrix(tvec, phi):
-    """Wrap an explicit GradedMap after validating its type shape."""
-    if phi.source.gen_degrees != tvec.source_degrees():
-        raise DomainError("source degrees %s do not match type %r"
-                          % (phi.source.gen_degrees, tvec))
-    if phi.target.gen_degrees != tvec.target_degrees():
-        raise DomainError("target degrees %s do not match type %r"
-                          % (phi.target.gen_degrees, tvec))
-    if not phi.is_minimal():
-        raise DomainError("degree-0 slots must be zero in a type matrix")
-    return MatrixPoint(tvec, phi)
-
-
 def sample(tvec, n, rng, p=None):
     """Uniform matrix of type (b, b'): every allowed slot gets an
     independent uniform element of its slot degree; impossible slots

@@ -19,9 +19,9 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from . import gfp
-from .errors import DomainError, ParseError, WindowError
+from .errors import DomainError, WindowError
 from .extalg import _signed_chunks
-from .efree import _quotient_slice, parse_matrix_file
+from .efree import parse_matrix_file
 
 
 @functools.cache
@@ -91,27 +91,6 @@ def poly_mul_monomial(poly, expo, p):
     return {e: c for e, c in out.items() if c}
 
 
-def format_poly(poly):
-    if not poly:
-        return "0"
-    parts = []
-    for e in sorted(poly):
-        c = poly[e]
-        factors = []
-        for i, a in enumerate(e):
-            if a == 1:
-                factors.append("x%d" % i)
-            elif a > 1:
-                factors.append("x%d^%d" % (i, a))
-        if not factors:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append("*".join(factors))
-        else:
-            parts.append("%d*%s" % (c, "*".join(factors)))
-    return " + ".join(parts)
-
-
 def parse_poly(ring, text):
     """Parse 'x0^2*x1 + 5*x2' into an exponent-dict; ValueError on junk."""
     text = text.strip()
@@ -168,10 +147,6 @@ class SPresentation:
                 raise DomainError("entry (%d,%d) has degree %s, needs %d"
                                   % (r, c, got, need))
             self.entries[(r, c)] = poly
-
-    @classmethod
-    def free_module(cls, ring, gen_degrees=(0,)):
-        return cls(ring, gen_degrees, (), {})
 
     @classmethod
     def quotient(cls, ring, polys):
@@ -259,7 +234,13 @@ class SlicedModule:
 
 
 def slice_presentation(pres, window):
-    """SlicedModule of coker(pres) over the window, by monomial linear algebra."""
+    """SlicedModule of coker(pres) over the window, by monomial linear algebra.
+
+    Slice d is the quotient of the free slice by the relations' image, held
+    as the pair (N, free) of `gfp.nullspace` of the transposed image: the
+    quotient basis is the coordinates `free` and N.T projects onto it.  So
+    x_i acts as N_{d+1}.T times the columns `free` of the shift by x_i.
+    """
     ring = pres.ring
     lo, hi = int(window[0]), int(window[1])
     p = ring.p
@@ -285,17 +266,15 @@ def slice_presentation(pres, window):
                         col[offs[r] + idx[e2], 0] = coeff
                 cols.append(col)
         image = np.hstack(cols) if cols else gfp.zeros(amb, 0)
-        proj, section = _quotient_slice(image, amb, p)
-        quot[d] = (proj, section, offs)
-        dims[d] = proj.shape[0]
+        N, free = gfp.nullspace(image.T, p)
+        quot[d] = (N.T, free, offs)
+        dims[d] = len(free)
     mult = {}
     for d in range(lo, hi):
-        _, section0, offs0 = quot[d]
+        proj0, free0, offs0 = quot[d]
         proj1, _, offs1 = quot[d + 1]
-        amb0 = section0.shape[0]
-        amb1 = proj1.shape[1]
         for i in range(ring.nvars):
-            shift = gfp.zeros(amb1, amb0)
+            shift = gfp.zeros(proj1.shape[1], proj0.shape[1])
             for r, g in enumerate(pres.row_degrees):
                 src_basis = ring.basis(d - g)
                 tgt_index = ring.index(d + 1 - g)
@@ -303,7 +282,7 @@ def slice_presentation(pres, window):
                     e2 = list(e)
                     e2[i] += 1
                     shift[offs1[r] + tgt_index[tuple(e2)], offs0[r] + cpos] = 1.0
-            mult[(i, d)] = gfp.matmul(proj1, gfp.matmul(shift, section0, p), p)
+            mult[(i, d)] = gfp.matmul(proj1, shift[:, free0], p)
     complete = (not pres.row_degrees) or lo <= min(pres.row_degrees)
     return SlicedModule(ring, (lo, hi), dims, mult, complete_below=complete)
 
@@ -406,15 +385,6 @@ def reg_S(m):
 
 # ---------------------------------------------------------------------------
 # S-module text format
-
-
-def format_smod(pres):
-    lines = ["ring n=%d p=%d" % (pres.ring.n, pres.ring.p)]
-    lines.append("rowdegs=%s coldegs=%s" % (
-        list(pres.row_degrees), list(pres.col_degrees)))
-    for (r, c) in sorted(pres.entries):
-        lines.append("entry %d %d : %s" % (r, c, format_poly(pres.entries[(r, c)])))
-    return "\n".join(lines) + "\n"
 
 
 def _parse_nonzero_poly(ring, text):

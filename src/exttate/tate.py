@@ -148,12 +148,6 @@ class TateWindow(FreeComplex):
                     "Tate window not exact at position %d (defect %d)" % (k, defect))
         return True
 
-    def exactness_defect(self, k):
-        if not (self.lo < k < self.hi):
-            raise DomainError("position %d is not interior to [%d, %d]"
-                              % (k, self.lo, self.hi))
-        return graded_map_homology(self.diff(k - 1), self.diff(k))[0]
-
 
 def cohomology_table(window):
     """Read gamma off the generator degrees: T^k gets E(-j)^gamma_{k-j,j}."""

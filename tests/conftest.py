@@ -2,11 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from exttate import gfp, paramspace
 from exttate.extalg import Algebra, ExtElement, random_element
-from exttate.efree import FreeEModule, GradedMap, vectorize_coker
+from exttate.efree import FreeEModule, GradedMap, VectorizedModule, vectorize_coker
 from exttate.smod import PolyRing, SPresentation, parse_poly, slice_presentation
-from exttate import paramspace
+
+
+def free_as_vectorized(f):
+    """A free module's own slice data."""
+    lo, hi = f.degree_range()
+    dims = {d: f.slice_dim(d) for d in range(lo, hi + 1)}
+    actions = {}
+    for d in range(lo + 1, hi + 1):
+        for i in range(f.alg.nvars):
+            actions[(i, d)] = f.action(i, d)
+    return VectorizedModule(f.alg, dims, actions)
+
+
+def free_presentation(ring):
+    """S itself, as a presentation with one generator and no relations."""
+    return SPresentation(ring, (0,), (), {})
 
 
 def quotient_by(alg, elems):
@@ -48,6 +65,45 @@ def random_typed_module(rng, n, p=32003):
     return vectorize_coker(x.phi.dual())
 
 
+@st.composite
+def small_graded_maps(draw):
+    """Random homogeneous maps over n <= 2 and p in {2, 3, 101}, unit entries
+    included, so both minimal and non-minimal presentations occur."""
+    n = draw(st.integers(0, 2))
+    p = draw(st.sampled_from([2, 3, 101]))
+    alg = Algebra(n, p)
+    tgt = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    src = draw(st.lists(st.integers(-alg.nvars, 1), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    entries = {}
+    for r, gt in enumerate(tgt):
+        for c, gs in enumerate(src):
+            d = gs - gt
+            if -alg.nvars <= d <= 0:
+                entries[(r, c)] = random_element(alg, d, rng)
+    return GradedMap(FreeEModule(alg, tuple(src)), FreeEModule(alg, tuple(tgt)), entries)
+
+
+def quotient_slice_oracle(image_cols, amb_dim, p):
+    """Quotient of k^amb by the column space as (projection, section)
+    matrices, built from rref(image.T) as the slice builders once did: the
+    projection is I at the non-pivot coordinates and -R[:, free].T at the
+    pivots, the section is the inclusion of the non-pivot coordinates."""
+    if image_cols.shape[1] == 0:
+        return gfp.eye(amb_dim), gfp.eye(amb_dim)
+    R, piv = gfp.rref(image_cols.T, p)
+    pivset = set(piv)
+    free = np.array([c for c in range(amb_dim) if c not in pivset], dtype=np.intp)
+    proj = gfp.zeros(len(free), amb_dim)
+    section = gfp.zeros(amb_dim, len(free))
+    if len(free):
+        proj[np.arange(len(free)), free] = 1.0
+        section[free, np.arange(len(free))] = 1.0
+        if piv:
+            proj[:, np.array(piv, dtype=np.intp)] = np.mod(-R[:len(piv)][:, free].T, p)
+    return proj, section
+
+
 def module_corpus(count, seed, nmax=4, p=32003):
     """Deterministic list of small nonzero modules over varied n <= nmax."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -66,12 +122,16 @@ def module_corpus(count, seed, nmax=4, p=32003):
 
 
 def random_sliced_module(rng, n, p):
-    """coker of a random homogeneous presentation over GF(p)[x_0..x_n],
-    sliced over [0, 5]: generators in degree 0 (sometimes also 1), one or
-    two relations of degree 1 or 2 above their row, random coefficients
-    (zero ones included).  Every relation lies in degree <= 3, so the slice
-    holds all of them and at least two degrees above; a wider slice only
-    makes the examples slower."""
+    """coker of `random_s_presentation` sliced over [0, 5].  Every relation
+    lies in degree <= 3, so the slice holds all of them and at least two
+    degrees above; a wider slice only makes the examples slower."""
+    return slice_presentation(random_s_presentation(rng, n, p), (0, 5))
+
+
+def random_s_presentation(rng, n, p):
+    """A random homogeneous presentation over GF(p)[x_0..x_n]: generators
+    in degree 0 (sometimes also 1), one or two relations of degree 1 or 2
+    above their row, random coefficients (zero ones included)."""
     ring = PolyRing(n, p)
     rows = (0,) if rng.random() < 0.6 else (0, 1)
     cols = [int(rng.choice(rows)) + int(rng.integers(1, 3))
@@ -83,7 +143,7 @@ def random_sliced_module(rng, n, p):
                 continue
             poly = {e: int(rng.integers(0, p)) for e in ring.basis(cd - rd)}
             entries[(r, c)] = {e: v for e, v in poly.items() if v}
-    return slice_presentation(SPresentation(ring, rows, cols, entries), (0, 5))
+    return SPresentation(ring, rows, cols, entries)
 
 
 def sliced_corpus(p=32003):
@@ -92,8 +152,8 @@ def sliced_corpus(p=32003):
     r1 = PolyRing(1, p)
     r2 = PolyRing(2, p)
     r3 = PolyRing(3, p)
-    out.append(("P1 structure", slice_presentation(SPresentation.free_module(r1), (0, 7))))
-    out.append(("P2 structure", slice_presentation(SPresentation.free_module(r2), (0, 7))))
+    out.append(("P1 structure", slice_presentation(free_presentation(r1), (0, 7))))
+    out.append(("P2 structure", slice_presentation(free_presentation(r2), (0, 7))))
     out.append(("plane conic", slice_presentation(
         SPresentation.quotient(r2, [parse_poly(r2, "x0*x1 - x2^2")]), (0, 8))))
     out.append(("plane cubic", slice_presentation(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_sliced_module
+from conftest import free_presentation, random_sliced_module
 from exttate.errors import DomainError
 from exttate.bgg import bgg_L_read, bgg_R, graded_map_homology
 from exttate.extalg import Algebra, parse_element
@@ -16,7 +16,7 @@ P = 32003
 
 
 def S_sliced(n, window):
-    return slice_presentation(SPresentation.free_module(PolyRing(n, P)), window)
+    return slice_presentation(free_presentation(PolyRing(n, P)), window)
 
 
 def cubic_sliced(window=(0, 8)):
@@ -110,14 +110,3 @@ def test_exactness_defect_zero_differentials():
     z = SlicedModule(ring, (0, 2), dims, {})
     cx = bgg_R(z)
     assert graded_map_homology(cx.diff(0), cx.diff(1))[0] > 0
-
-
-def test_out_of_range_position():
-    """Homology of a BGG complex is asked at interior positions only."""
-    from exttate.tate import TateWindow
-    cx = bgg_R(S_sliced(1, (0, 2)))
-    win = TateWindow(cx.alg, cx.lo, cx.hi, cx.modules, cx.diffs, cx.lo)
-    with pytest.raises(DomainError):
-        win.exactness_defect(0)
-    with pytest.raises(DomainError):
-        win.exactness_defect(2)

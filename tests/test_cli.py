@@ -256,6 +256,21 @@ def test_bad_input_exits_without_traceback(capsys, tmp_path, point_file, argv, f
         assert "line 1" in err
 
 
+@pytest.mark.parametrize("argv, data", [
+    (["betti", "--ematrix", "{bad}"], bytes(range(192, 256))),
+    (["cohomology", "--module", "{bad}", "--window", "0..1"],
+     b"\xff\xfe" + CUBIC.encode("utf-16-le")),
+], ids=["emat-random-bytes", "smod-utf16"])
+def test_non_utf8_input_exits_without_traceback(capsys, tmp_path, argv, data):
+    path = tmp_path / "bad.in"
+    path.write_bytes(data)
+    code = main([a.format(bad=str(path)) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert "not UTF-8 text" in err
+
+
 QUADRIC_L3 = """ealg n=5 p=32003
 rowdegs=[0] coldegs=[-2]
 entry 0 0 : e0*e1 + e2*e3 + e4*e5

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import free_as_vectorized, quotient_slice_oracle, small_graded_maps
 from exttate.errors import DomainError, ParseError
 from exttate.extalg import Algebra, ExtElement, parse_element, random_element
 from exttate.efree import (FreeEModule, GradedMap, format_ematrix, parse_ematrix,
-                           vectorize_coker, free_as_vectorized)
+                           vectorize_coker)
 from exttate.eres import _slice_kernel
 from exttate import gfp
 
@@ -116,6 +118,26 @@ def test_vectorize_coker_surjective_slice():
     f = emap(alg, (-1, -1), (0,), {(0, 0): "e0", (0, 1): "e1"})
     m = vectorize_coker(f)
     assert m.hilbert() == [1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graded_maps())
+def test_vectorize_coker_matches_projection_section_rule_property(f):
+    """coker(f) has the dims of the projection-section quotients and e_i acts
+    as proj_{d-1} @ apply(i, d, section_d)."""
+    p = f.alg.p
+    tgt = f.target
+    lo, hi = tgt.degree_range()
+    quot = {d: quotient_slice_oracle(f.slice_matrix(d), tgt.slice_dim(d), p)
+            for d in range(lo, hi + 1) if tgt.slice_dim(d)}
+    m = vectorize_coker(f)
+    assert m.dims == {d: proj.shape[0] for d, (proj, _) in quot.items() if proj.shape[0]}
+    for d in range(lo + 1, hi + 1):
+        if not (m.dim(d) and m.dim(d - 1)):
+            continue
+        for i in range(f.alg.nvars):
+            want = gfp.matmul(quot[d - 1][0], tgt.apply(i, d, quot[d][1]), p)
+            assert np.array_equal(m.action(i, d), want), (i, d)
 
 
 def test_rank_nullity_per_degree(small_corpus):

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import quotient_by, residue_field, module_corpus
+from conftest import (free_as_vectorized, module_corpus, quotient_by, residue_field,
+                      small_graded_maps)
 from exttate.bgg import graded_map_homology
 from exttate.errors import DomainError
-from exttate.extalg import Algebra, ExtElement, parse_element, random_element
-from exttate.efree import FreeEModule, GradedMap, free_as_vectorized, vectorize_coker
+from exttate.extalg import Algebra, ExtElement, parse_element
+from exttate.efree import FreeEModule, GradedMap, vectorize_coker
 from exttate import eres, gfp
 from exttate.eres import (CartanScanner, Resolver, alpha, alpha_hilbert_rhs, cone_extend,
                           minimal_free_resolution, regularity, resolve_kernel_steps)
@@ -206,25 +207,6 @@ def test_cone_extend_preserves_betti_and_alpha():
         assert alpha(sm, k, regm) == alpha(sc, k, regc)
 
 
-@st.composite
-def small_graded_maps(draw):
-    """Random homogeneous maps over n <= 2 and p in {2, 3, 101}, unit entries
-    included, so both minimal and non-minimal presentations occur."""
-    n = draw(st.integers(0, 2))
-    p = draw(st.sampled_from([2, 3, 101]))
-    alg = Algebra(n, p)
-    tgt = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
-    src = draw(st.lists(st.integers(-alg.nvars, 1), min_size=1, max_size=3))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    entries = {}
-    for r, gt in enumerate(tgt):
-        for c, gs in enumerate(src):
-            d = gs - gt
-            if -alg.nvars <= d <= 0:
-                entries[(r, c)] = random_element(alg, d, rng)
-    return GradedMap(FreeEModule(alg, tuple(src)), FreeEModule(alg, tuple(tgt)), entries)
-
-
 @settings(max_examples=100, deadline=None)
 @given(small_graded_maps())
 def test_resolver_betti_matches_cartan_property(phi):
@@ -340,6 +322,54 @@ def test_kernel_coordinate_generators_match_ambient_rule_property(phi):
         m = vectorize_coker(phi)
         if not m.is_zero:
             Resolver(m).extend(3)
+    assert checked
+
+
+def monomial_action_kernel(m, f0, gens):
+    """The kernels of the cover F_0 -> m with each image v*e_{i1}...e_{ik}
+    formed as a product of whole action matrices, from the identity up."""
+    alg = m.alg
+    ker = {}
+    lo, hi = f0.degree_range()
+    for d in range(hi, lo - 1, -1):
+        cols = []
+        for g, v in gens:
+            for mask in alg.basis(d - g):
+                act, cur = gfp.eye(m.dim(g)), g
+                for i in range(alg.nvars):
+                    if mask & (1 << i):
+                        act = gfp.matmul(m.action(i, cur), act, alg.p)
+                        cur -= 1
+                cols.append(gfp.matmul(act, v.reshape(-1, 1), alg.p))
+        if cols:
+            N, free = gfp.nullspace(np.hstack(cols), alg.p)
+            if N.shape[1]:
+                ker[d] = (N, free)
+    return ker
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graded_maps())
+def test_cover_kernel_matches_monomial_action_rule_property(phi):
+    """The module cover's kernels, built by chains of `apply`, are the ones
+    the whole-matrix products give, degree by degree."""
+    m = vectorize_coker(phi)
+    if m.is_zero:
+        return
+    cover_kernel = eres._cover_kernel
+    checked = []
+
+    def compared(m, f0, gens):
+        got = cover_kernel(m, f0, gens)
+        want = monomial_action_kernel(m, f0, gens)
+        assert sorted(got) == sorted(want)
+        for d, (N, free) in want.items():
+            assert np.array_equal(got[d][0], N) and np.array_equal(got[d][1], free), d
+        checked.append(len(got))
+        return got
+
+    with mock.patch.object(eres, "_cover_kernel", compared):
+        Resolver(m).extend(2)
     assert checked
 
 

@@ -10,8 +10,7 @@ from exttate.extalg import Algebra, ExtElement, parse_element
 from exttate.efree import FreeEModule, GradedMap
 from exttate.eres import CartanScanner
 from exttate.paramspace import (MatrixPoint, TypeVectors, census, degree_sequence,
-                                membership_X0, point_from_matrix, reconstruct,
-                                sample, z_membership)
+                                membership_X0, reconstruct, sample, z_membership)
 
 
 def test_type_vectors_basic():
@@ -64,15 +63,15 @@ def test_membership_examples():
     t11 = TypeVectors((1,), (1,))
     phi = GradedMap(FreeEModule(alg, (0,)), FreeEModule(alg, (1,)),
                     {(0, 0): parse_element(alg, "e0")})
-    assert membership_X0(point_from_matrix(t11, phi)) == (True, True)
+    assert membership_X0(MatrixPoint(t11, phi)) == (True, True)
 
     t01 = TypeVectors((0, 1), (1,))
     q1 = GradedMap(FreeEModule(alg, (-1,)), FreeEModule(alg, (1,)),
                    {(0, 0): parse_element(alg, "e1*e2")})
-    assert membership_X0(point_from_matrix(t01, q1)) == (True, True)
+    assert membership_X0(MatrixPoint(t01, q1)) == (True, True)
     q2 = GradedMap(FreeEModule(alg, (-1,)), FreeEModule(alg, (1,)),
                    {(0, 0): parse_element(alg, "e0*e1 + e2*e3")})
-    got = membership_X0(point_from_matrix(t01, q2))
+    got = membership_X0(MatrixPoint(t01, q2))
     assert got == (False, True)
 
 
@@ -95,7 +94,7 @@ def test_z_membership_point_sheaf_false():
     t11 = TypeVectors((1,), (1,))
     phi = GradedMap(FreeEModule(alg, (0,)), FreeEModule(alg, (1,)),
                     {(0, 0): parse_element(alg, "e0")})
-    pt = point_from_matrix(t11, phi)
+    pt = MatrixPoint(t11, phi)
     sc = CartanScanner(pt.coker_dual())
     assert not z_membership(pt, 2, sc)
     assert not z_membership(pt, 3, sc)
@@ -120,7 +119,7 @@ def _two_socle_point(n=2, p=32003):
         # relation e_t * (dual gen of degree 1)
         entries[(nv + t, 1)] = ExtElement.variable(alg, t)
     phi = GradedMap(src, tgt, entries)
-    return point_from_matrix(tvec, phi)
+    return MatrixPoint(tvec, phi)
 
 
 def test_z_membership_witness_and_chain():
@@ -171,7 +170,7 @@ def test_census_exhaustive_gf2_point_types():
             el = ExtElement(alg, terms)
             phi = GradedMap(FreeEModule(alg, (0,)), FreeEModule(alg, (1,)),
                             {(0, 0): el} if not el.is_zero else {})
-            pt = point_from_matrix(t11, phi)
+            pt = MatrixPoint(t11, phi)
             member, cert = membership_X0(pt)
             assert cert
             if not member:

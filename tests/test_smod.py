@@ -6,19 +6,52 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_sliced_module
+from conftest import (free_presentation, quotient_slice_oracle, random_s_presentation,
+                      random_sliced_module)
 from exttate.errors import DomainError, ParseError, WindowError
 from exttate.smod import (PolyRing, SPresentation, SlicedModule, extend_variable,
-                          format_smod, koszul_betti, parse_poly, parse_smod,
+                          koszul_betti, parse_poly, parse_smod, poly_mul_monomial,
                           reg_S, shift_grading, slice_presentation, truncate)
 from exttate import gfp
 
 P = 32003
 
 
+def format_poly(poly):
+    """A polynomial in the term syntax parse_poly reads."""
+    if not poly:
+        return "0"
+    parts = []
+    for e in sorted(poly):
+        c = poly[e]
+        factors = []
+        for i, a in enumerate(e):
+            if a == 1:
+                factors.append("x%d" % i)
+            elif a > 1:
+                factors.append("x%d^%d" % (i, a))
+        if not factors:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append("*".join(factors))
+        else:
+            parts.append("%d*%s" % (c, "*".join(factors)))
+    return " + ".join(parts)
+
+
+def format_smod(pres):
+    """The .smod text of a presentation, for round trips through parse_smod."""
+    lines = ["ring n=%d p=%d" % (pres.ring.n, pres.ring.p)]
+    lines.append("rowdegs=%s coldegs=%s" % (
+        list(pres.row_degrees), list(pres.col_degrees)))
+    for (r, c) in sorted(pres.entries):
+        lines.append("entry %d %d : %s" % (r, c, format_poly(pres.entries[(r, c)])))
+    return "\n".join(lines) + "\n"
+
+
 def free_sliced(n, window):
     ring = PolyRing(n, P)
-    return slice_presentation(SPresentation.free_module(ring), window)
+    return slice_presentation(free_presentation(ring), window)
 
 
 def k_sliced(n, window):
@@ -41,7 +74,7 @@ def test_hilbert_additivity():
     ring = PolyRing(2, P)
     pres = SPresentation.quotient(ring, [parse_poly(ring, "x0*x1 - x2^2")])
     m = slice_presentation(pres, (0, 5))
-    free = slice_presentation(SPresentation.free_module(ring), (0, 5))
+    free = slice_presentation(free_presentation(ring), (0, 5))
     for d in range(0, 6):
         image_rank = ring.dim(d - 2)  # one quadric: multiples are injective
         assert m.dim(d) + image_rank == free.dim(d)
@@ -135,6 +168,64 @@ def test_truncation_keeps_betti_above_cut_property(n, p, seed):
         for (i, j), v in betti.items():
             if j - i >= r + 1:
                 assert koszul_betti(tr, i, j) == v, (r, i, j)
+
+
+def free_slice_offsets(pres, d):
+    """Start of each generator's block in the free slice of degree d, and
+    the slice's dimension."""
+    ends = np.cumsum([0] + [pres.ring.dim(d - g) for g in pres.row_degrees])
+    return ends[:-1], int(ends[-1])
+
+
+def relation_image(pres, d):
+    """The relations times every monomial, as columns in the free slice d."""
+    ring = pres.ring
+    offs, amb = free_slice_offsets(pres, d)
+    cols = []
+    for c, cg in enumerate(pres.col_degrees):
+        for mono in ring.basis(d - cg):
+            col = gfp.zeros(amb, 1)
+            for (r, cc), poly in pres.entries.items():
+                if cc == c:
+                    idx = ring.index(d - pres.row_degrees[r])
+                    for e, coeff in poly_mul_monomial(poly, mono, ring.p).items():
+                        col[offs[r] + idx[e], 0] = coeff
+            cols.append(col)
+    return np.hstack(cols) if cols else gfp.zeros(amb, 0)
+
+
+def shift_matrix(pres, d, i):
+    """Multiplication by x_i from the free slice d to the free slice d+1."""
+    ring = pres.ring
+    offs0, amb0 = free_slice_offsets(pres, d)
+    offs1, amb1 = free_slice_offsets(pres, d + 1)
+    out = gfp.zeros(amb1, amb0)
+    for r, g in enumerate(pres.row_degrees):
+        idx = ring.index(d + 1 - g)
+        for k, e in enumerate(ring.basis(d - g)):
+            up = list(e)
+            up[i] += 1
+            out[offs1[r] + idx[tuple(up)], offs0[r] + k] = 1.0
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2), st.sampled_from([2, 3, 101]), st.integers(0, 2 ** 32 - 1))
+def test_slice_presentation_matches_projection_section_rule_property(n, p, seed):
+    """Each x_i acts as proj_{d+1} @ shift @ section_d of the
+    projection-section quotients, from an empty slice below the generators
+    up."""
+    pres = random_s_presentation(np.random.default_rng(seed), n, p)
+    m = slice_presentation(pres, (-1, 5))
+    quot = {d: quotient_slice_oracle(relation_image(pres, d),
+                                     free_slice_offsets(pres, d)[1], p)
+            for d in range(-1, 6)}
+    assert m.hilbert() == [quot[d][0].shape[0] for d in range(-1, 6)]
+    for d in range(-1, 5):
+        for i in range(n + 1):
+            want = gfp.matmul(quot[d + 1][0],
+                              gfp.matmul(shift_matrix(pres, d, i), quot[d][1], p), p)
+            assert np.array_equal(m.action(i, d), want), (i, d)
 
 
 def test_truncate_laws():

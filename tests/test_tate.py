@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sliced_corpus
+from conftest import free_presentation, sliced_corpus
 from exttate.errors import DomainError
 from exttate.extalg import Algebra, parse_element
 from exttate.efree import FreeEModule, GradedMap, vectorize_coker
@@ -47,7 +47,7 @@ def test_cubic_curve_table():
 def test_structure_sheaf_tables():
     for n in (1, 2):
         ring = PolyRing(n, P)
-        S = slice_presentation(SPresentation.free_module(ring), (0, 7))
+        S = slice_presentation(free_presentation(ring), (0, 7))
         win = tate_window(S, -n - 3, 3)
         tab = cohomology_table(win)
         for j in range(0, 4):
@@ -152,7 +152,7 @@ def test_tate_from_point_rejects_shifted_l2_quadric():
 def test_pushforward_checks():
     assert pushforward_check(cubic_sliced(), -1, 2)
     ring = PolyRing(1, P)
-    S1 = slice_presentation(SPresentation.free_module(ring), (0, 7))
+    S1 = slice_presentation(free_presentation(ring), (0, 7))
     assert pushforward_check(S1, -3, 2)
 
 
