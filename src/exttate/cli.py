@@ -2,7 +2,8 @@
 
 Subcommands map one-to-one onto the library operations; all randomness
 flows from --seed, every output is deterministic, and numeric output is
-exact integers.  Exit status: 0 success, 1 domain error, 2 parse error.
+exact integers.  Exit status: 0 success, 1 domain error or out of
+memory, 2 parse error.
 """
 
 import argparse
@@ -415,6 +416,9 @@ def main(argv=None):
         return 1
     except DomainError as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return 1
+    except MemoryError as exc:  # numpy's allocation error subclasses it
+        sys.stderr.write("error: out of memory: %s\n" % exc)
         return 1
 
 

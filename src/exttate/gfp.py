@@ -1,59 +1,50 @@
 """Exact linear algebra over the prime field GF(p).
 
 Matrices are numpy float64 arrays whose entries are integers in [0, p).
-All arithmetic is exact as long as (p-1)^2 < 2^53: every product of two
+`matmul` is exact as long as (p-1)^2 < 2^53: every product of two
 residues is then an integer that float64 represents exactly, and matmul
-chunks its inner dimension so accumulated dot products stay below 2^53
-as well (Dumas-Giorgi-Pernet, ACM TOMS 2008).  `check_prime` enforces the
+chunks its inner dimension so accumulated dot products stay below 2^53 as
+well (Dumas-Giorgi-Pernet, ACM TOMS 2008).  `check_prime` enforces the
 bound; the largest accepted prime is 94,906,249.
 
-Elimination is one Gauss-Jordan pass that leaves A in reduced row echelon
-form.  Columns are taken left to right, one pivot at a time: the pivot
-row is scaled to a leading 1, and only the rows with a nonzero in the
-pivot column, above and below, are updated, from the pivot column on.
-Each update x - c*y of residues x, c, y lies in [-(p-1)^2, p), inside the
-range where `_mod` is exact, so no step rounds.
+Elimination is Gauss-Jordan on sparse rows: the lever of structured
+Gaussian elimination (Faugere-Lachartre, PASCO 2010), taken to single
+rows.  The nonzeros of A are read once, and each row becomes a dict
+{column: residue} of Python ints, so every step is exact for every prime
+and does not rest on the float64 bound.  An entry that reduces to 0 is
+dropped.  Rows are inserted fewest nonzeros first and reduced at their
+leading column until they are zero or lead in a new pivot column; one
+back-substitution then gives the reduced form, which is written back
+into A as float64.  The package's slice matrices stay sparse through
+this: over the eliminations of a (1; 2) census at n=7, the cohomology of
+the twisted cubic and the elliptic quartic, two (1,1; 1,1) and (1; 2)
+censuses at n=4, `mccullough --ell 2` and ell=3 `betti --direct --imax 4`,
+none with both sides at least 32 ended more than 13.6% dense.
 
 Callers read only canonical results, which do not depend on how the
 elimination ran: `rank`; the reduced row echelon form from `rref` and
 `echelon`, which is unique; `nullspace`, built from that form; and the
 pivot columns from `echelon` and `extend_column_basis`, the
 lexicographically first column basis.  All of them are determined by the
-row space, so the choice of pivot row is free.  The kernel takes the
-candidate with the fewest nonzeros from the pivot column on, the lowest
-index on a tie, to keep fill-in down: in alternating runs a (1; 2)
-census trial at n=7 took 3.6-3.8 s and 82 MB with it, against 6.1-6.2 s
-and 97 MB taking the first nonzero row (one thread, 2-core VM).  Dense
-input pays for it: the updates are rank-one, with no BLAS matmul, so a
-random dense 1000x1000 matrix at p = 32003 takes 5.3 s, against 0.62 s
-with the earlier panel kernel, which replayed its multipliers as
-matmuls.  No command of the package produces one; its slice matrices
-are sparse.
-
-The same fact makes block-wise elimination safe.  Rows and columns are the
-two sides of a bipartite graph whose edges are the nonzero entries; its
-connected components are independent blocks (the lever of structured
-Gaussian elimination, Faugere-Lachartre, PASCO 2010).  The pivot columns
-of the matrix are the union of the blocks' pivot columns, and its rref is
-the rows of the blocks' rrefs sorted by pivot column.  The input decides
-the path, with no option: `echelon` splits a matrix when its larger side
-is at least 512 and no block holds half of its rows plus columns, and
-otherwise eliminates the whole.  The 512 was measured with the panel
-kernel: below it the search cost about what it saved (at a threshold of
-64 the mid-size cohomology eliminations took 3.27 s as blocks against
-3.38 s dense, and the search added 0.38 s), while the Resolver slices of
-the ell=3 quadric, 0.1-0.6% dense and of up to 8,106 columns, split into
-blocks of at most 174 rows plus columns.  Under this kernel the split
-saves memory more than time: without it, ell=3 `betti --direct --imax 4`
-peaks at 318 MB instead of 247 MB, in about the same 1.4 s.  Components
-come from numpy alone, the package's only dependency: importing a
-sparse-graph library for them more than doubled the start-up time of a
-census process and added 30 MB to its resident memory.
+row space, so the order in which rows are inserted and the choice of
+pivot row are free; both are chosen to keep fill-in down.  In alternating
+runs of `census --b 1 --bprime 2 -n 7 --trials 2 --seed 0 --window -3..6`
+(one thread, 2-core VM) this kernel took 2.60 / 2.55 s, against
+2.82 / 3.08 s when a sparser row does not displace the pivot row it
+meets, 3.75 / 4.36 s inserting rows in their given order, and
+4.73 / 4.84 s with the earlier float64 kernel, which took one pivot
+column at a time over dense rows with about ten numpy calls per pivot.
+No size of matrix favours that kernel: on the eliminations above it was
+2-5x slower in every bucket of the larger side (below 16, 16-63, 64-511,
+512 and more); the 68 of the twisted cubic with a larger side of 16-63
+took 0.040 s there and 0.009 s here.  Dense input pays for the rows being
+dicts: at p = 32003 a random dense 100 x 100 matrix takes 0.08-0.11 s
+(0.014 s with the float64 kernel), 400 x 400 takes 6.4-7.0 s (0.73 s),
+and a 1000 x 1000 matrix at 1% density fills in and takes 18-20 s
+(2.2 s).  No command of the package makes such a matrix.
 """
 
 import numpy as np
-
-_SPLIT_MIN = 512
 
 
 def _is_prime(n):
@@ -75,7 +66,7 @@ def check_prime(p):
         raise ValueError("modulus %r is not prime" % (p,))
     if (p - 1) ** 2 >= 1 << 53:
         raise ValueError("modulus %d is too large: (p-1)^2 must stay below 2^53 "
-                         "for exact float64 elimination" % p)
+                         "for exact float64 matmul" % p)
 
 
 def _mod(a, p):
@@ -87,11 +78,9 @@ def _mod(a, p):
     quotient q is then within one of the true one, so |q*p| <= |a| + 2p
     must stay exactly representable: below the range a product rounds (at
     p = 94,906,249, -(2^53 - 1) reduces to 71321477, not 71321476).  Every
-    caller stays inside it: `_eliminate` reduces x - c*y with residues x,
-    c, y, in [-(p-1)^2, p), and a pivot row times an inverse, in
-    [0, (p-1)^2]; matmul reduces non-negative sums below 2^53; `nullspace`
-    negates residues; `as_gf` reduces caller data, which must lie in the
-    same range.
+    caller stays inside it: matmul reduces non-negative sums below 2^53;
+    `nullspace` negates residues; `as_gf` reduces caller data, which must
+    lie in the same range.
     """
     a = np.asarray(a, dtype=np.float64)
     q = np.floor(a * (1.0 / p))
@@ -145,86 +134,70 @@ def _eliminate(A, p):
     """Gauss-Jordan elimination of A in place; returns the pivot columns.
 
     Afterwards A is in reduced row echelon form, its pivot rows first and
-    zero rows after.  The pivot row is the candidate with the fewest
-    nonzeros from the pivot column on, the first on a tie.
+    zero rows after.  A row is a dict {column: residue} of Python ints, and
+    a pivot row is stored as its tail, the entries right of its leading 1.
+    Rows go in fewest nonzeros first, the lowest index on a tie.  Each step
+    takes the leading entry x off a row.  Where no pivot leads in that
+    column yet, the rest of the row times x^-1 is stored as a tail;
+    otherwise x times that pivot's tail is subtracted from the rest.  A row
+    with fewer entries than the tail it meets becomes the pivot instead,
+    and the displaced tail is reduced on.  The leading column grows at
+    every step, so each row is done within n steps.  One back-substitution
+    over the pivot columns, right to left, then clears the entries above
+    the pivots.
     """
-    m, n = A.shape
-    pivcols = []
-    pr = 0
-    for c in range(n):
-        if pr == m:
-            break
-        cand = np.flatnonzero(A[pr:, c])
-        if cand.size == 0:
-            continue
-        r = pr + int(cand[0])
-        if cand.size > 1:
-            r = pr + int(cand[np.argmin(np.count_nonzero(A[pr + cand, c:], axis=1))])
-        if r != pr:
-            A[[pr, r]] = A[[r, pr]]
-        v = A[pr, c]
-        if v != 1.0:
-            A[pr, c:] = _mod(A[pr, c:] * inv_scalar(v, p), p)
-        hit = np.flatnonzero(A[:, c])
-        hit = hit[hit != pr]
-        if hit.size:
-            A[hit, c:] = _mod(A[hit, c:] - np.outer(A[hit, c], A[pr, c:]), p)
-        pivcols.append(c)
-        pr += 1
-    return pivcols
-
-
-def _components(A):
-    """Connected components of the nonzero pattern of A, rows and columns
-    being the two sides of a bipartite graph.
-
-    Returns one (rows, cols) pair of sorted index arrays per component
-    that holds a nonzero entry.  Every vertex starts labelled by its own
-    index; each round gives every row and column the least label among
-    its neighbours, then jumps labels to their roots, until both ends of
-    every edge agree.
-    """
-    m = A.shape[0]
     r, c = np.nonzero(A)
     if r.size == 0:
         return []
-    c += m
-    lab = np.arange(m + A.shape[1])
-    rstart = np.flatnonzero(np.diff(r, prepend=-1))
-    corder = np.argsort(c, kind="stable")
-    cs, rc = c[corder], r[corder]
-    cstart = np.flatnonzero(np.diff(cs, prepend=-1))
-    urows, ucols = r[rstart], cs[cstart]
-    while True:
-        lab[urows] = np.minimum(lab[urows], np.minimum.reduceat(lab[c], rstart))
-        lab[ucols] = np.minimum(lab[ucols], np.minimum.reduceat(lab[rc], cstart))
-        while True:
-            root = lab[lab]
-            if np.array_equal(root, lab):
-                break
-            lab = root
-        if np.array_equal(lab[r], lab[c]):
-            break
-    # the row and column groups list the same labels in the same order
-    groups = []
-    for verts in (urows, ucols):
-        vl = lab[verts]
-        order = np.argsort(vl, kind="stable")
-        groups.append(np.split(verts[order], np.flatnonzero(np.diff(vl[order])) + 1))
-    return [(rows, cols - m) for rows, cols in zip(*groups)]
+    cols = c.tolist()
+    vals = A[r, c].astype(np.int64).tolist()
+    bounds = np.searchsorted(r, np.arange(A.shape[0] + 1)).tolist()
+    tails = {}  # pivot column -> the tail of its pivot row
+    for i in np.argsort(np.diff(bounds), kind="stable").tolist():
+        row = dict(zip(cols[bounds[i]:bounds[i + 1]], vals[bounds[i]:bounds[i + 1]]))
+        while row:
+            lead = min(row)
+            x = row.pop(lead)
+            tail = tails.get(lead)
+            if tail is None or len(row) < len(tail):
+                if x != 1:
+                    x = pow(x, -1, p)
+                    row = {j: v * x % p for j, v in row.items()}
+                tails[lead] = row
+                if tail is None:
+                    break
+                row, tail, x = tail, row, 1
+            _axpy(row, p - x, tail, p)
+    order = sorted(tails)
+    for lead in reversed(order):
+        # the tails of the pivots right of lead are free of pivot columns
+        row = tails[lead]
+        for j in [j for j in row if j in tails]:
+            _axpy(row, p - row.pop(j), tails[j], p)
+    ri, ci, vi = list(range(len(order))), list(order), [1] * len(order)
+    for k, lead in enumerate(order):
+        row = tails[lead]
+        ri += [k] * len(row)
+        ci += row.keys()
+        vi += row.values()
+    A.fill(0.0)
+    A[ri, ci] = vi
+    return order
 
 
-def _blocks(A):
-    """The independent blocks of A, or None where A is eliminated whole:
-    below _SPLIT_MIN rows or columns, or when one block holds half of the
-    rows plus columns."""
-    m, n = A.shape
-    if max(m, n) < _SPLIT_MIN:
-        return None
-    comps = _components(A)
-    if not comps or max(len(rows) + len(cols) for rows, cols in comps) * 2 >= m + n:
-        return None
-    return comps
+def _axpy(row, f, tail, p):
+    """row += f * tail mod p in place, dropping the entries that become 0."""
+    get = row.get
+    for j, v in tail.items():
+        x = get(j)
+        if x is None:
+            row[j] = f * v % p
+        else:
+            x = (x + f * v) % p
+            if x:
+                row[j] = x
+            else:
+                del row[j]
 
 
 def echelon(a, p):
@@ -232,27 +205,10 @@ def echelon(a, p):
 
     E has the normalized pivot rows first (leading entry 1, zeros above
     and below it), zero rows after; pivot_cols is the ordered list of
-    pivot column indices.  A matrix that splits into independent blocks
-    is eliminated block by block.
+    pivot column indices.
     """
     A = as_gf(a, p)
-    blocks = _blocks(A)
-    if blocks is None:
-        return A, _eliminate(A, p)
-    reduced = []
-    for rows, cols in blocks:
-        B = A[np.ix_(rows, cols)]
-        piv = _eliminate(B, p)
-        reduced.append((cols, B[:len(piv)], cols[piv]))
-    pivcols = np.concatenate([pc for _, _, pc in reduced])
-    order = np.argsort(pivcols)
-    dest = np.argsort(order)  # the row of each pivot in the assembled form
-    A.fill(0.0)
-    k = 0
-    for cols, R, pc in reduced:
-        A[np.ix_(dest[k:k + len(pc)], cols)] = R
-        k += len(pc)
-    return A, pivcols[order].tolist()
+    return A, _eliminate(A, p)
 
 
 def rref(a, p):

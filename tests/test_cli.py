@@ -278,23 +278,15 @@ entry 0 0 : e0*e1 + e2*e3 + e4*e5
 
 SCIPY_PROBE = """
 import sys
-from exttate import cli, gfp
-blocks = gfp._blocks
-split = []
-def counting_blocks(a):
-    found = blocks(a)
-    split.append(found is not None)
-    return found
-gfp._blocks = counting_blocks
+from exttate import cli
 assert cli.main(["betti", "--direct", "--imax", "3", "--ematrix", sys.argv[1]]) == 0
-assert any(split), "no elimination took the block path"
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_block_path_imports_no_scipy(tmp_path):
-    """Components are found with numpy alone: importing scipy would add to
-    every process's start-up time and resident memory."""
+def test_quadric_betti_imports_no_scipy(tmp_path):
+    """Resolutions run on numpy alone: importing scipy would add to every
+    process's start-up time and resident memory."""
     path = tmp_path / "quadric_l3.emat"
     path.write_text(QUADRIC_L3)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(exttate.__file__)))
@@ -302,3 +294,15 @@ def test_block_path_imports_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_out_of_memory_exits_without_traceback(capsys, monkeypatch, point_file):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+    monkeypatch.setattr("exttate.eres.minimal_free_resolution", exhausted)
+    code = main(["betti", "--ematrix", point_file])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert err == "error: out of memory: Unable to allocate 1.00 TiB for an array\n"

@@ -1,10 +1,8 @@
 """The GF(p) kernel against a naive elimination oracle."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exttate import gfp
 
@@ -79,19 +77,19 @@ def test_rref_of_low_rank_product():
     assert piv == piv2 and np.array_equal(R, R2)
 
 
-def block_matrix(p, rng, dominant):
-    """A shuffled block-diagonal matrix with some zero rows and columns and
-    a larger side of at least 512; with `dominant`, one random 8 x 600
-    block holds more than half of the rows plus columns."""
-    blocks = [gfp.random_matrix(8, 600, p, rng)] if dominant else []
+def block_matrix(p, rng):
+    """A shuffled block-diagonal matrix of half-filled random blocks up to
+    8 x 8, with some zero rows and columns; each side is at most 60, and
+    the matrix is transposed half of the time."""
+    blocks = []
     rows = cols = 0
-    while max(rows, cols) < (128 if dominant else 512):
+    target = int(rng.integers(1, 46))
+    while max(rows, cols) < target:
         r, c = (int(v) for v in rng.integers(1, 9, size=2))
         blocks.append(gfp.random_matrix(r, c, p, rng) * (rng.random((r, c)) < 0.5))
         rows, cols = rows + r, cols + c
-    pad_rows, pad_cols = (int(v) for v in rng.integers(0, 20, size=2))
-    A = gfp.zeros(sum(b.shape[0] for b in blocks) + pad_rows,
-                  sum(b.shape[1] for b in blocks) + pad_cols)
+    pad_rows, pad_cols = (int(v) for v in rng.integers(0, 8, size=2))
+    A = gfp.zeros(rows + pad_rows, cols + pad_cols)
     r0 = c0 = 0
     for b in blocks:
         A[r0:r0 + b.shape[0], c0:c0 + b.shape[1]] = b
@@ -100,24 +98,40 @@ def block_matrix(p, rng, dominant):
     return A.T.copy() if rng.random() < 0.5 else A
 
 
-@settings(max_examples=10, deadline=None)
-@given(p=st.sampled_from([2, 3, 101]), seed=st.integers(0, 10**6), dominant=st.booleans())
-def test_block_path_matches_dense_kernel(p, seed, dominant):
-    A = block_matrix(p, np.random.default_rng(seed), dominant)
-    assert (gfp._blocks(A) is None) == dominant
-    base, cand = A[:, :A.shape[1] // 3], A[:, A.shape[1] // 3:]
-    with mock.patch.object(gfp, "_blocks", lambda A: None):
-        R, piv = gfp.rref(A, p)
-        N, free = gfp.nullspace(A, p)
-        ext = gfp.extend_column_basis(base, cand, p)
-    E, epiv = gfp.echelon(A, p)
-    assert epiv == piv and np.array_equal(E, R)
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3, 101, 94906249]),
+       shape=st.tuples(st.integers(0, 52), st.integers(0, 60)),
+       density=st.sampled_from([0.02, 0.1, 0.5, 1.0]),
+       blocks=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(p=101, shape=(0, 9), density=1.0, blocks=False, seed=0)
+@example(p=101, shape=(9, 0), density=1.0, blocks=False, seed=0)
+def test_kernel_matches_naive_oracle(p, shape, density, blocks, seed):
+    """echelon, rref, rank, nullspace and extend_column_basis against
+    naive_rref: sparse to dense matrices up to about 60 x 60, with zero and
+    duplicate rows shuffled in, empty shapes, and block-diagonal matrices."""
+    rng = np.random.default_rng(seed)
+    if blocks:
+        A = block_matrix(p, rng)
+    else:
+        A = gfp.random_matrix(*shape, p, rng) * (rng.random(shape) < density)
+    if A.shape[0]:
+        extra = rng.integers(-1, A.shape[0], size=int(rng.integers(0, 9)))  # -1: a zero row
+        A = np.vstack([A] + [A[[i]] if i >= 0 else gfp.zeros(1, A.shape[1]) for i in extra])
+        A = A[rng.permutation(A.shape[0])]
+    n = A.shape[1]
+    R, piv = naive_rref(A, p)
+    for reduce in (gfp.echelon, gfp.rref):
+        got, got_piv = reduce(A, p)
+        assert got_piv == piv and np.array_equal(got, R)
     assert gfp.rank(A, p) == len(piv)
-    got_R, got_piv = gfp.rref(A, p)
-    assert got_piv == piv and np.array_equal(got_R, R)
-    got_N, got_free = gfp.nullspace(A, p)
-    assert np.array_equal(got_N, N) and np.array_equal(got_free, free)
-    assert gfp.extend_column_basis(base, cand, p) == ext
+    free = [c for c in range(n) if c not in piv]
+    want = gfp.zeros(n, len(free))
+    want[free, range(len(free))] = 1.0
+    want[piv] = (-R[:len(piv)][:, free]) % p
+    N, got_free = gfp.nullspace(A, p)
+    assert got_free.tolist() == free and np.array_equal(N, want)
+    w = int(rng.integers(0, n + 1))
+    assert gfp.extend_column_basis(A[:, :w], A[:, w:], p) == [c - w for c in piv if c >= w]
 
 
 @settings(max_examples=150, deadline=None)
@@ -169,9 +183,11 @@ def test_matmul_chunking_exact():
 
 
 def test_rank_matches_sympy_at_largest_accepted_prime():
-    """At the float64 bound, products of residues come within 2^32 of 2^53;
-    elimination must still agree with exact GF(p) arithmetic on rank-5
-    products built in exact integers."""
+    """At the largest prime the float64 bound of `check_prime` accepts,
+    products of residues come within 2^32 of 2^53.  Elimination works in
+    Python ints, so it does not rest on that bound; its ranks must agree
+    with exact GF(p) arithmetic on rank-5 products built in exact
+    integers."""
     from sympy import GF
     from sympy.polys.matrices import DomainMatrix
 
