@@ -18,11 +18,12 @@ and `smod.slice_presentation` on the S-side).
 
 FreeEModule and VectorizedModule both expose the e_i action as
 `action(i, d)` and its product with slice vectors as `apply(i, d, x)`.
-The resolution engine (`eres`) covers either one through `apply` alone;
+The resolution engine (`eres`) acts on either one through `apply` alone;
 on a free module `apply` is a signed gather, since e_i sends each basis
-vector to 0 or to plus or minus one basis vector.  Whole action matrices
-are read by `vectorize_coker` (FreeEModule.action) and by the Cartan
-oracle and `cone_extend` in `eres` (VectorizedModule.action).
+vector to 0 or to plus or minus one basis vector.  Gathers are cached per
+module, as a resolution asks for each (i, d) up to three times.  Whole
+action matrices are read by `vectorize_coker` (FreeEModule.action) and by
+the Cartan oracle and `cone_extend` in `eres` (VectorizedModule.action).
 
 The `.emat` matrix format shares its parser skeleton, `parse_matrix_file`,
 with the `.smod` format of the S-side.
@@ -42,6 +43,7 @@ class FreeEModule:
         self.alg = alg
         self.gen_degrees = tuple(int(g) for g in gen_degrees)
         self._offsets = {}
+        self._gathers = {}
 
     @property
     def rank(self):
@@ -80,14 +82,16 @@ class FreeEModule:
         A basis monomial times e_i is 0 or plus or minus one basis monomial,
         so the matrix of the action has at most one nonzero per row.
         """
-        ro = self.offsets(d - 1)
-        co = self.offsets(d)
-        parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
-        for r, g in enumerate(self.gen_degrees):
-            b = self.alg.right_mul_matrix(i, d - g)
-            rr, cc = np.nonzero(b)
-            parts.append((rr + ro[r], cc + co[r], b[rr, cc]))
-        return tuple(np.concatenate(v) for v in zip(*parts))
+        if (i, d) not in self._gathers:
+            ro = self.offsets(d - 1)
+            co = self.offsets(d)
+            parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+            for r, g in enumerate(self.gen_degrees):
+                b = self.alg.right_mul_matrix(i, d - g)
+                rr, cc = np.nonzero(b)
+                parts.append((rr + ro[r], cc + co[r], b[rr, cc]))
+            self._gathers[i, d] = tuple(np.concatenate(v) for v in zip(*parts))
+        return self._gathers[i, d]
 
     def action(self, i, d):
         """Matrix of right multiplication by e_i from slice d to slice d-1."""

@@ -2,11 +2,13 @@
 
 Two independent engines compute graded Betti numbers:
 
-* the resolution engine `Resolver`, the one loop that covers a kernel by
-  minimal generators, step by step, from slice-wise nullspaces.  It
-  resolves a VectorizedModule (step 0 is a minimal cover of the module)
-  or the kernel of a GradedMap (`resolve_kernel_steps`, which splices the
-  resolution onto the map's source); beta_{i,j} = number of generators of
+* the resolution engine `Resolver`.  Its one step covers a submodule of
+  an ambient module by minimal generators, kept as (ambient, generator
+  vectors), and the next step covers the kernel of that cover, built
+  slice by slice through `apply` and `gfp.nullspace`.  It resolves a
+  VectorizedModule (step 0 covers the module itself) or the kernel of a
+  GradedMap (`resolve_kernel_steps`, which turns the steps into maps
+  spliced onto the map's source); beta_{i,j} = number of generators of
   F_i in degree j.  Generators are chosen in kernel coordinates, on
   stacks of dim ker_d rows instead of dim F_d: the kernel basis N from
   `gfp.nullspace` has N[free] = I, each e_i maps ker_{d+1} into ker_d,
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import gfp
 from .errors import DomainError
-from .extalg import Algebra, mask_indices
+from .extalg import Algebra
 from .efree import FreeEModule, GradedMap, VectorizedModule
 from .smod import exponent_vectors
 
@@ -81,41 +83,39 @@ class BettiTable:
                          for row in grid)
 
 
-def _slice_kernel(phi):
-    """Per-degree kernels of a GradedMap's slice matrices, as the
-    (basis, free columns) pairs of `gfp.nullspace`."""
+def _cover_kernel(amb, f, gens):
+    """Per-degree kernels, as (basis, free columns) pairs, of the map
+    f -> amb sending the generators of the free module f to the vectors of
+    `gens`, (degree, ambient vector) pairs in f's generator order.
+
+    Images are built top down.  Below its generator's degree, a basis vector
+    gen * m of slice d of f is b * e_i for the basis vector b = gen * m' of
+    slice d+1, where e_i is the last factor of m = m' e_i, so the sign is +1
+    and the largest i reaching gen * m in f._gather(i, d+1) is that factor.
+    Its image is amb.apply(i, d+1, .) of the image of b."""
     ker = {}
-    lo, hi = phi.source.degree_range()
+    lo, hi = f.degree_range()
+    above = None
     for d in range(hi, lo - 1, -1):
-        if phi.source.slice_dim(d) == 0:
+        n = f.slice_dim(d)
+        if n == 0:
+            above = None
             continue
-        N, free = gfp.nullspace(phi.slice_matrix(d), phi.alg.p)
-        if N.shape[1]:
-            ker[d] = (N, free)
-    return ker
-
-
-def _cover_kernel(m, f0, gens):
-    """Per-degree kernels, as (basis, free columns) pairs, of the cover
-    F_0 -> m sending the generators of F_0 to the vectors of `gens`.
-
-    The image of the basis element gen * e_{i1}...e_{ik} (i1 < ... < ik) of
-    F_0 in degree d is v e_{i1}...e_{ik}, one `apply` per factor from v's
-    degree g down to d."""
-    alg = m.alg
-    ker = {}
-    lo, hi = f0.degree_range()
-    for d in range(hi, lo - 1, -1):
-        cols = []
-        for (g, v) in gens:
-            for mask in alg.basis(d - g):
-                x = v[:, None]
-                for j, i in enumerate(mask_indices(mask)):
-                    x = m.apply(i, g - j, x)
-                cols.append(x)
-        if not cols:
-            continue
-        N, free = gfp.nullspace(np.hstack(cols), alg.p)
+        parts = [([f.offsets(d)[c]], v[:, None]) for c, (g, v) in enumerate(gens) if g == d]
+        if above is not None:
+            done = np.zeros(n, dtype=bool)
+            for i in reversed(range(f.alg.nvars)):
+                rows, cols, _ = f._gather(i, d + 1)
+                fresh = ~done[rows]
+                rows, cols = rows[fresh], cols[fresh]
+                if rows.size:
+                    done[rows] = True
+                    parts.append((rows, amb.apply(i, d + 1, above[:, cols])))
+        above = gfp.zeros(parts[0][1].shape[0], n)
+        for cols, block in parts:
+            above[:, cols] = block
+        del parts  # free the blocks before the elimination
+        N, free = gfp.nullspace(above, f.alg.p)
         if N.shape[1]:
             ker[d] = (N, free)
     return ker
@@ -128,7 +128,8 @@ def _kernel_generators(alg, amb, ker):
     K_d in ambient coordinates and N[free] is the identity.  In each degree
     (top down) the basis columns extending the radical, the span of the
     e_i images of K_{d+1}, are the generators; they are returned as
-    (degree, ambient vector) pairs.
+    (degree, ambient vector) pairs, copied out of the basis so that a kept
+    step does not keep the whole kernel alive.
 
     The choice is made in kernel coordinates.  Every e_i maps K_{d+1} into
     K_d, so a radical vector v lies in the span of N and has coordinates
@@ -150,90 +151,85 @@ def _kernel_generators(alg, amb, ker):
                              for i in range(alg.nvars)])
             idx = gfp.extend_column_basis(rad, gfp.eye(nk), alg.p)
         for c in idx:
-            gens.append((d, basis[:, c]))
+            gens.append((d, basis[:, c].copy()))
     return gens
 
 
-def _map_from_ambient_vectors(alg, amb, gens):
+def _generator_vectors(phi):
+    """The image of each source generator of phi, as (degree, target vector)
+    pairs in generator order: generator c of degree g goes to column
+    offsets(g)[c] of phi.slice_matrix(g), one slice per distinct degree."""
+    src = phi.source
+    slices = {g: phi.slice_matrix(g) for g in set(src.gen_degrees)}
+    return [(g, slices[g][:, src.offsets(g)[c]]) for c, g in enumerate(src.gen_degrees)]
+
+
+def _map_from_ambient_vectors(amb, gens):
     """The GradedMap sending new generators to the given ambient vectors."""
-    fnew = FreeEModule(alg, tuple(g for g, _ in gens))
-    entries = {}
-    for c, (g, w) in enumerate(gens):
-        parts = amb.element_from_vector(g, w)
-        for r, el in enumerate(parts):
-            if not el.is_zero:
-                entries[(r, c)] = el
-    return GradedMap(fnew, amb, entries)
+    entries = {(r, c): el for c, (g, w) in enumerate(gens)
+               for r, el in enumerate(amb.element_from_vector(g, w))}
+    return GradedMap(FreeEModule(amb.alg, tuple(g for g, _ in gens)), amb, entries)
 
 
 class Resolver:
-    """Incremental minimal free resolution, covering one kernel per step.
+    """Incremental minimal free resolution, one kernel cover per step.
 
-    `Resolver(module)` resolves a VectorizedModule: step 0 picks minimal
-    generators of the module (a basis of M modulo the span of all e_i
-    images) and each later step covers the slice-wise kernel of the
-    previous map.  `Resolver.of_kernel(phi)` starts from frees = [source of
-    phi] and the kernel of phi, so its steps resolve ker(phi).  All choices
-    run through the deterministic echelon pivoting in gfp, so reruns
-    reproduce the same matrices.
-
-    A step computes the kernel it covers, that of the map built last, on
-    entry: the last step of a run then builds no kernel that nothing reads,
-    and no kernel outlives the step that covers it.
+    Every step is the same: it picks minimal generators of a submodule of
+    its ambient module (`_kernel_generators`) and is kept as the pair
+    (ambient, generator vectors).  The next step covers the kernel of the
+    free module on those generators -> ambient, built through `apply`
+    (`_cover_kernel`).  `Resolver(module)` starts from the whole
+    VectorizedModule, so step 0 is its minimal cover.
+    `Resolver.of_kernel(phi)` starts from frees = [source of phi] and the
+    kernel of phi's generator vectors, so its steps resolve ker(phi).
+    Choices run through the deterministic pivoting in gfp, so reruns
+    reproduce the same vectors.  A step builds the kernel it covers on
+    entry, so the last step of a run builds no kernel that nothing reads.
     """
 
     def __init__(self, module):
         if module.is_zero:
             raise DomainError("cannot resolve the zero module")
-        self._start(module.alg, module, [], None)
+        self._start([], module,
+                    lambda: {d: (gfp.eye(n), np.arange(n)) for d, n in module.dims.items()})
 
     @classmethod
     def of_kernel(cls, phi):
         """Resolver of ker(phi), seeded with F_0 = source(phi)."""
         res = cls.__new__(cls)
-        res._start(phi.alg, None, [phi.source], lambda: _slice_kernel(phi))
+        res._start([phi.source], phi.source,
+                   lambda: _cover_kernel(phi.target, phi.source, _generator_vectors(phi)))
         return res
 
-    def _start(self, alg, module, frees, last_kernel):
-        self.module = module
-        self.alg = alg
+    def _start(self, frees, amb, kernel):
         self.frees = frees
         self.steps = []
         self.terminated = False
-        # () -> kernel of the map into frees[-1], by degree; None before step 0
-        self._last_kernel = last_kernel
-
-    def _cover_module(self):
-        m = self.module
-        lo, hi = m.support()
-        units = {d: (gfp.eye(m.dim(d)), np.arange(m.dim(d)))
-                 for d in range(lo, hi + 1) if m.dim(d)}
-        gens = _kernel_generators(self.alg, m, units)
-        f0 = FreeEModule(self.alg, tuple(g for g, _ in gens))
-        self.frees.append(f0)
-        self._last_kernel = lambda: _cover_kernel(m, f0, gens)
+        # the next step covers the submodule kernel() of amb, by degree
+        self._amb = amb
+        self._kernel = kernel
 
     def step(self):
         """Extend the resolution by one free module; returns its gen degrees."""
         if self.terminated:
             return ()
-        if not self.frees:
-            self._cover_module()
-            return self.frees[0].gen_degrees
-        gens = _kernel_generators(self.alg, self.frees[-1], self._last_kernel())
+        amb = self._amb
+        gens = _kernel_generators(amb.alg, amb, self._kernel())
         if not gens:
             self.terminated = True
             return ()
-        phi = _map_from_ambient_vectors(self.alg, self.frees[-1], gens)
-        # Past a minimal cover every syzygy lies in m*F, so a unit entry is a
-        # bug.  The first cover of a kernel seed may have units: its caller
-        # reports them.
-        if (self.module is not None or self.steps) and not phi.is_minimal():
+        # Past a minimal cover every syzygy lies in m*F, so a unit (a nonzero
+        # E_0 coordinate on a same-degree target generator) is a bug.  The
+        # first cover of a kernel seed may have units: its caller reports them.
+        if self.steps and any(v[amb.offsets(g)[r]] for g, v in gens
+                              for r, h in enumerate(amb.gen_degrees) if h == g):
             raise DomainError("internal: non-minimal syzygy step")
-        self.steps.append(phi)
-        self.frees.append(phi.source)
-        self._last_kernel = lambda: _slice_kernel(phi)
-        return phi.source.gen_degrees
+        f = FreeEModule(amb.alg, tuple(g for g, _ in gens))
+        self.steps.append((amb, gens))
+        self.frees.append(f)
+        self._amb = f
+        self._kernel = lambda: _cover_kernel(amb, f, gens)
+        return f.gen_degrees
 
     def extend(self, steps):
         """Run up to `steps` more steps, stopping once the resolution ends."""
@@ -264,7 +260,8 @@ def resolve_kernel_steps(phi, steps):
     Returns [g_1, g_2, ...] where g_1 : G_1 -> source(phi) covers ker(phi)
     minimally and each later map covers the kernel of the previous one.
     """
-    return Resolver.of_kernel(phi).extend(steps).steps
+    res = Resolver.of_kernel(phi).extend(steps)
+    return [_map_from_ambient_vectors(amb, gens) for amb, gens in res.steps]
 
 
 # ---------------------------------------------------------------------------

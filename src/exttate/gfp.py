@@ -110,10 +110,6 @@ def eye(n):
     return np.eye(n, dtype=np.float64)
 
 
-def inv_scalar(v, p):
-    return pow(int(v) % p, -1, p)
-
-
 def matmul(a, b, p):
     """Exact a @ b mod p; the inner dimension is chunked so sums stay < 2^53."""
     a = np.asarray(a, dtype=np.float64)

@@ -231,18 +231,18 @@ def test_kernel_steps_splice_exactly_property(phi):
 
 
 def test_no_step_builds_a_kernel_nothing_reads(monkeypatch):
-    """A step builds the kernel of the previous map on entry, so the last
-    step of a run builds none: k steps over ker(phi) take k kernels, and a
-    module resolved through step i takes i - 1 (the cover's kernel is not
-    a slice kernel)."""
+    """A step builds the kernel of the previous cover on entry, so the last
+    step of a run builds none: k steps over ker(phi) take k kernels (the
+    first is the seed's), and a module resolved through step i takes i
+    (step 0 covers the module itself).  No kernel outlives its step."""
     built = []
-    slice_kernel = eres._slice_kernel
+    cover_kernel = eres._cover_kernel
 
-    def counting(phi):
-        built.append(phi)
-        return slice_kernel(phi)
+    def counting(amb, f, gens):
+        built.append(f)
+        return cover_kernel(amb, f, gens)
 
-    monkeypatch.setattr(eres, "_slice_kernel", counting)
+    monkeypatch.setattr(eres, "_cover_kernel", counting)
     alg = Algebra(1)
     e0 = ExtElement.variable(alg, 0)
     # ker(e0 : E(-1) -> E) = e0*E(-1); its resolution repeats e0 and never ends
@@ -257,25 +257,51 @@ def test_no_step_builds_a_kernel_nothing_reads(monkeypatch):
         built.clear()
         res = minimal_free_resolution(k_mod, i)
         assert len(res.frees) == i + 1 and not res.terminated
-        assert len(built) == max(i - 1, 0)
+        assert len(built) == i
+        # a kept step holds its own vectors, not views of a kernel basis
+        assert all(v.base is None for _, gens in res.steps for _, v in gens)
+
+
+def test_free_modules_build_each_gather_once(monkeypatch):
+    """A free module's e_i gather at (i, d) is asked for as the source of one
+    cover and as the ambient of the radical and of the next cover; it is
+    built once, so every ask returns the same arrays."""
+    gather = FreeEModule._gather
+    asked = {}
+    modules = []  # keeps every module alive, so no id is reused
+
+    def recording(self, i, d):
+        out = gather(self, i, d)
+        modules.append(self)
+        asked.setdefault((id(self), i, d), []).append(out)
+        return out
+
+    monkeypatch.setattr(FreeEModule, "_gather", recording)
+    alg = Algebra(2)
+    minimal_free_resolution(residue_field(alg), 4)
+    e0, e1 = (ExtElement.variable(alg, i) for i in range(2))
+    phi = GradedMap(FreeEModule(alg, (-1, -1)), FreeEModule(alg, (0,)),
+                    {(0, 0): e0, (0, 1): e1})
+    Resolver.of_kernel(phi).extend(3)
+    assert max(map(len, asked.values())) > 1
+    assert all(out is outs[0] for outs in asked.values() for out in outs)
 
 
 def assert_same_resolution(r1, r2):
     assert r1.terminated == r2.terminated
     assert [f.gen_degrees for f in r1.frees] == [f.gen_degrees for f in r2.frees]
     assert len(r1.steps) == len(r2.steps)
-    for g1, g2 in zip(r1.steps, r2.steps):
-        lo, hi = g1.source.degree_range()
-        for d in range(lo, hi + 1):
-            assert np.array_equal(g1.slice_matrix(d), g2.slice_matrix(d)), d
+    for (_, gens1), (_, gens2) in zip(r1.steps, r2.steps):
+        assert [d for d, _ in gens1] == [d for d, _ in gens2]
+        assert all(np.array_equal(v, w) for (_, v), (_, w) in zip(gens1, gens2))
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_graded_maps(), st.integers(0, 3), st.integers(0, 3))
 def test_incremental_extension_property(phi, a, b):
     """regularity and the Tate splice step a Resolver one step at a time;
-    stopping and resuming must choose the same generators and matrices as
-    one run of the same length."""
+    stopping and resuming must choose the same generator vectors as one run
+    of the same length."""
     assert_same_resolution(Resolver.of_kernel(phi).extend(a).extend(b),
                            Resolver.of_kernel(phi).extend(a + b))
     m = vectorize_coker(phi)
@@ -325,20 +351,21 @@ def test_kernel_coordinate_generators_match_ambient_rule_property(phi):
     assert checked
 
 
-def monomial_action_kernel(m, f0, gens):
-    """The kernels of the cover F_0 -> m with each image v*e_{i1}...e_{ik}
+def monomial_action_kernel(amb, f, gens):
+    """The kernels of the map f -> amb with each image v*e_{i1}...e_{ik}
     formed as a product of whole action matrices, from the identity up."""
-    alg = m.alg
+    alg = amb.alg
+    dim = amb.slice_dim if isinstance(amb, FreeEModule) else amb.dim
     ker = {}
-    lo, hi = f0.degree_range()
+    lo, hi = f.degree_range()
     for d in range(hi, lo - 1, -1):
         cols = []
         for g, v in gens:
             for mask in alg.basis(d - g):
-                act, cur = gfp.eye(m.dim(g)), g
+                act, cur = gfp.eye(dim(g)), g
                 for i in range(alg.nvars):
                     if mask & (1 << i):
-                        act = gfp.matmul(m.action(i, cur), act, alg.p)
+                        act = gfp.matmul(amb.action(i, cur), act, alg.p)
                         cur -= 1
                 cols.append(gfp.matmul(act, v.reshape(-1, 1), alg.p))
         if cols:
@@ -351,17 +378,16 @@ def monomial_action_kernel(m, f0, gens):
 @settings(max_examples=100, deadline=None)
 @given(small_graded_maps())
 def test_cover_kernel_matches_monomial_action_rule_property(phi):
-    """The module cover's kernels, built by chains of `apply`, are the ones
-    the whole-matrix products give, degree by degree."""
-    m = vectorize_coker(phi)
-    if m.is_zero:
-        return
+    """Every kernel a Resolver covers, built top down by `apply`, is the one
+    the whole-matrix products give, degree by degree: the kernel seed of
+    Resolver.of_kernel(phi), the module cover of Resolver(m) and every
+    syzygy step of both."""
     cover_kernel = eres._cover_kernel
     checked = []
 
-    def compared(m, f0, gens):
-        got = cover_kernel(m, f0, gens)
-        want = monomial_action_kernel(m, f0, gens)
+    def compared(amb, f, gens):
+        got = cover_kernel(amb, f, gens)
+        want = monomial_action_kernel(amb, f, gens)
         assert sorted(got) == sorted(want)
         for d, (N, free) in want.items():
             assert np.array_equal(got[d][0], N) and np.array_equal(got[d][1], free), d
@@ -369,7 +395,10 @@ def test_cover_kernel_matches_monomial_action_rule_property(phi):
         return got
 
     with mock.patch.object(eres, "_cover_kernel", compared):
-        Resolver(m).extend(2)
+        Resolver.of_kernel(phi).extend(3)
+        m = vectorize_coker(phi)
+        if not m.is_zero:
+            Resolver(m).extend(3)
     assert checked
 
 
