@@ -2,14 +2,21 @@
 
 The forward functor sends a sliced module M to the complex with E(-i)^{dim M_i}
 in position i and differential determined by the multiplication maps,
-entry[r][c] = sum_t sign_t * X_t[r, c] * e_t with sign_t = (-1)^t.  The
-inverse reading peels the multiplication maps back off a linear complex
-with vanishing composition; it is the round-trip oracle of the tests.
+entry[r][c] = sum_t sign_t * X_t[r, c] * e_t with sign_t = (-1)^t.  It is a
+complex exactly when the x_t actions commute: the e_s e_t coefficient
+(s < t) of d o d is sign_s sign_t (X_s X_t - X_t X_s), since e_t e_s =
+-e_s e_t and e_t e_t = 0.  So d o d = 0 is decided on the slices, by
+`SlicedModule.check_commutativity`.  The inverse reading peels the
+multiplication maps back off a linear complex, and the same check on the
+module it returns rejects a composition that does not vanish; it is the
+round-trip oracle of the tests.
 Linear complexes and Tate windows share the base `FreeComplex`, and
 `graded_map_homology` reads the homology along a chain of its maps.
 """
 
 import functools
+
+import numpy as np
 
 from . import gfp
 from .errors import DomainError
@@ -56,43 +63,29 @@ class LinearComplex(FreeComplex):
     def rank(self, i):
         return self.module(i).rank
 
-    def check_squares_zero(self):
-        for i in range(self.lo, self.hi - 1):
-            comp = self.diff(i + 1).compose(self.diff(i))
-            if not comp.is_zero:
-                raise DomainError("composition at position %d is nonzero" % i)
-        return True
-
 
 def bgg_R(m):
     """Linear complex of M: rank dim M_i in position i, entries from the
-    multiplication maps; the vanishing of the composition is asserted."""
+    multiplication maps, read off the nonzeros of the sign-twisted stack
+    of the x_t actions.  d o d = 0 is asserted as the commutativity of
+    those actions (see the module docstring); DomainError if it fails."""
     if m.hi < m.lo:
         raise DomainError("empty window")
+    m.check_commutativity()
     alg = Algebra(m.ring.n, m.ring.p)
     modules = {}
     diffs = {}
     for i in range(m.lo, m.hi + 1):
         modules[i] = FreeEModule(alg, (i,) * m.dim(i))
     for i in range(m.lo, m.hi):
-        entries = {}
-        acts = [m.action(t, i) for t in range(alg.nvars)]
-        for r in range(m.dim(i + 1)):
-            for c in range(m.dim(i)):
-                terms = {}
-                for t in range(alg.nvars):
-                    coeff = int(acts[t][r, c])
-                    if coeff == 0:
-                        continue
-                    if t % 2 == 1:
-                        coeff = (-coeff) % alg.p
-                    terms[1 << t] = coeff
-                if terms:
-                    entries[(r, c)] = ExtElement(alg, terms)
+        acts = np.stack([m.action(t, i) for t in range(alg.nvars)], axis=-1)
+        acts[..., 1::2] = np.mod(-acts[..., 1::2], alg.p)
+        terms = {}
+        for r, c, t in zip(*np.nonzero(acts)):
+            terms.setdefault((int(r), int(c)), {})[1 << int(t)] = int(acts[r, c, t])
+        entries = {rc: ExtElement(alg, tt) for rc, tt in terms.items()}
         diffs[i] = GradedMap(modules[i], modules[i + 1], entries)
-    cx = LinearComplex(alg, m.lo, m.hi, modules, diffs)
-    cx.check_squares_zero()
-    return cx
+    return LinearComplex(alg, m.lo, m.hi, modules, diffs)
 
 
 def bgg_L_read(cx):
@@ -102,7 +95,6 @@ def bgg_L_read(cx):
     differentials (signs undone); commutativity of the result is exactly
     the vanishing of the composition and is verified by the constructor.
     """
-    cx.check_squares_zero()
     ring = PolyRing(cx.alg.n, cx.alg.p)
     dims = {i: cx.rank(i) for i in range(cx.lo, cx.hi + 1)}
     mult = {}

@@ -80,16 +80,23 @@ class FreeEModule:
         target rows it reaches, the source coordinate of each and its sign.
 
         A basis monomial times e_i is 0 or plus or minus one basis monomial,
-        so the matrix of the action has at most one nonzero per row.
+        so the matrix of the action has at most one nonzero per row.  It is
+        built once per distinct generator degree g: the nonzeros of e_i on
+        E_{d-g} are read once and placed at the block offsets of every
+        generator of degree g by broadcasting.  The triplets come grouped
+        by degree, not in row order; every caller indexes by row.
         """
         if (i, d) not in self._gathers:
-            ro = self.offsets(d - 1)
-            co = self.offsets(d)
+            ro = np.array(self.offsets(d - 1), dtype=np.intp)
+            co = np.array(self.offsets(d), dtype=np.intp)
+            degs = np.array(self.gen_degrees, dtype=np.intp)
             parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
-            for r, g in enumerate(self.gen_degrees):
+            for g in sorted(set(self.gen_degrees)):
                 b = self.alg.right_mul_matrix(i, d - g)
                 rr, cc = np.nonzero(b)
-                parts.append((rr + ro[r], cc + co[r], b[rr, cc]))
+                gens = np.flatnonzero(degs == g)
+                parts.append(((ro[gens, None] + rr).ravel(), (co[gens, None] + cc).ravel(),
+                              np.tile(b[rr, cc], len(gens))))
             self._gathers[i, d] = tuple(np.concatenate(v) for v in zip(*parts))
         return self._gathers[i, d]
 

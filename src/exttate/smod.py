@@ -5,11 +5,15 @@ finite window plus, for each variable, the multiplication matrices
 M_d -> M_{d+1}.  That is all the downstream constructions need (the BGG
 functor and Tate starts only look at slices above some degree), so no
 Groebner machinery appears anywhere: ingestion from a polynomial
-presentation is monomial-basis linear algebra degree by degree.
+presentation is monomial-basis linear algebra degree by degree.  Monomial
+multiplication is an index map (`PolyRing.mul_index`): x^a sends each
+basis monomial of S_d to exactly one of S_{d+|a|}, so relation images and
+the x_i actions are written and read by position, with no shift matrix.
 
 Regularity (`reg_S`) comes from one scan of the Koszul Betti diagonals;
 each module ranks every Koszul differential once.  The monomial bases of
-S are cached per (n, p) and shared by every PolyRing(n, p).
+S and their index maps are cached per (n, p) and shared by every
+PolyRing(n, p).
 """
 
 import functools
@@ -75,20 +79,22 @@ class PolyRing:
     def index(self, d):
         return {e: i for i, e in enumerate(self.basis(d))}
 
+    @functools.cache
+    def mul_index(self, expo, d):
+        """Position in basis(d + |expo|) of x^expo times each monomial of
+        basis(d), as an index array (empty for d < 0)."""
+        idx = self.index(d + sum(expo))
+        out = np.array([idx[tuple(a + b for a, b in zip(e, expo))]
+                        for e in self.basis(d)], dtype=np.intp)
+        out.flags.writeable = False
+        return out
+
 
 def poly_degree(poly):
     degs = {sum(e) for e in poly}
     if len(degs) > 1:
         raise DomainError("non-homogeneous polynomial: degrees %s" % sorted(degs))
     return degs.pop() if degs else None
-
-
-def poly_mul_monomial(poly, expo, p):
-    out = {}
-    for e, c in poly.items():
-        key = tuple(a + b for a, b in zip(e, expo))
-        out[key] = (out.get(key, 0) + c) % p
-    return {e: c for e, c in out.items() if c}
 
 
 def parse_poly(ring, text):
@@ -238,8 +244,12 @@ def slice_presentation(pres, window):
 
     Slice d is the quotient of the free slice by the relations' image, held
     as the pair (N, free) of `gfp.nullspace` of the transposed image: the
-    quotient basis is the coordinates `free` and N.T projects onto it.  So
-    x_i acts as N_{d+1}.T times the columns `free` of the shift by x_i.
+    quotient basis is the coordinates `free` and N.T projects onto it.  The
+    image is written through index maps: relation c times the monomials of
+    S_{d - deg c} puts each term's coefficient of entry (r, c) at the rows
+    of generator r's block that `mul_index` names.  Since x_i sends each
+    free basis monomial to one free basis monomial, x_i acts as the columns
+    of N_{d+1}.T at the images of the coordinates `free` of slice d.
     """
     ring = pres.ring
     lo, hi = int(window[0]), int(window[1])
@@ -247,42 +257,26 @@ def slice_presentation(pres, window):
     quot = {}
     dims = {}
     for d in range(lo, hi + 1):
-        amb = sum(ring.dim(d - g) for g in pres.row_degrees)
-        offs = []
-        pos = 0
-        for g in pres.row_degrees:
-            offs.append(pos)
-            pos += ring.dim(d - g)
-        cols = []
-        for c, cg in enumerate(pres.col_degrees):
-            for mono in ring.basis(d - cg):
-                col = gfp.zeros(amb, 1)
-                for (r, cc), poly in pres.entries.items():
-                    if cc != c:
-                        continue
-                    shifted = poly_mul_monomial(poly, mono, p)
-                    idx = ring.index(d - pres.row_degrees[r])
-                    for e2, coeff in shifted.items():
-                        col[offs[r] + idx[e2], 0] = coeff
-                cols.append(col)
-        image = np.hstack(cols) if cols else gfp.zeros(amb, 0)
+        offs = np.cumsum([0] + [ring.dim(d - g) for g in pres.row_degrees])
+        cstart = np.cumsum([0] + [ring.dim(d - cg) for cg in pres.col_degrees])
+        image = gfp.zeros(offs[-1], cstart[-1])
+        for (r, c), poly in pres.entries.items():
+            k = d - pres.col_degrees[c]
+            cols = cstart[c] + np.arange(ring.dim(k))
+            for e, coeff in poly.items():
+                image[offs[r] + ring.mul_index(e, k), cols] = coeff % p
         N, free = gfp.nullspace(image.T, p)
         quot[d] = (N.T, free, offs)
         dims[d] = len(free)
+    units = [tuple(int(t == i) for t in range(ring.nvars)) for i in range(ring.nvars)]
     mult = {}
     for d in range(lo, hi):
-        proj0, free0, offs0 = quot[d]
+        free0 = quot[d][1]
         proj1, _, offs1 = quot[d + 1]
-        for i in range(ring.nvars):
-            shift = gfp.zeros(proj1.shape[1], proj0.shape[1])
-            for r, g in enumerate(pres.row_degrees):
-                src_basis = ring.basis(d - g)
-                tgt_index = ring.index(d + 1 - g)
-                for cpos, e in enumerate(src_basis):
-                    e2 = list(e)
-                    e2[i] += 1
-                    shift[offs1[r] + tgt_index[tuple(e2)], offs0[r] + cpos] = 1.0
-            mult[(i, d)] = gfp.matmul(proj1, shift[:, free0], p)
+        for i, unit in enumerate(units):
+            rows = np.concatenate([np.zeros(0, dtype=np.intp)] + [
+                offs1[r] + ring.mul_index(unit, d - g) for r, g in enumerate(pres.row_degrees)])
+            mult[(i, d)] = proj1[:, rows[free0]]
     complete = (not pres.row_degrees) or lo <= min(pres.row_degrees)
     return SlicedModule(ring, (lo, hi), dims, mult, complete_below=complete)
 

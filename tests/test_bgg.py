@@ -9,7 +9,7 @@ from exttate.errors import DomainError
 from exttate.bgg import bgg_L_read, bgg_R, graded_map_homology
 from exttate.extalg import Algebra, parse_element
 from exttate.efree import FreeEModule, GradedMap
-from exttate.smod import (PolyRing, SPresentation, parse_poly, reg_S,
+from exttate.smod import (PolyRing, SPresentation, SlicedModule, parse_poly, reg_S,
                           slice_presentation, truncate)
 
 P = 32003
@@ -41,7 +41,18 @@ def test_bgg_R_on_S_n1():
     assert [cx.rank(i) for i in (0, 1, 2)] == [1, 2, 3]
     for i in (0, 1):
         assert cx.diff(i).is_linear()
-    cx.check_squares_zero()
+    assert cx.diff(1).compose(cx.diff(0)).is_zero
+
+
+def test_bgg_R_rejects_noncommuting_actions():
+    """d o d = 0 is asserted as commuting x_i actions, so a module built
+    without the constructor's check is caught here."""
+    m = S_sliced(1, (0, 2))
+    mult = {(i, d): m.action(i, d).copy() for i in range(2) for d in range(2)}
+    mult[(1, 1)][0, 0] = (mult[(1, 1)][0, 0] + 1) % P
+    bad = SlicedModule(m.ring, (0, 2), dict(m.dims), mult, check=False)
+    with pytest.raises(DomainError):
+        bgg_R(bad)
 
 
 def test_round_trip():
@@ -106,7 +117,6 @@ def test_exactness_defect_zero_differentials():
         SPresentation.quotient(ring, [parse_poly(ring, "x0"), parse_poly(ring, "x1")]),
         (0, 2))
     dims = {0: 1, 1: 1, 2: 0}
-    from exttate.smod import SlicedModule
     z = SlicedModule(ring, (0, 2), dims, {})
     cx = bgg_R(z)
     assert graded_map_homology(cx.diff(0), cx.diff(1))[0] > 0

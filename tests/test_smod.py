@@ -10,8 +10,8 @@ from conftest import (free_presentation, quotient_slice_oracle, random_s_present
                       random_sliced_module)
 from exttate.errors import DomainError, ParseError, WindowError
 from exttate.smod import (PolyRing, SPresentation, SlicedModule, extend_variable,
-                          koszul_betti, parse_poly, parse_smod, poly_mul_monomial,
-                          reg_S, shift_grading, slice_presentation, truncate)
+                          koszul_betti, parse_poly, parse_smod, reg_S, shift_grading,
+                          slice_presentation, truncate)
 from exttate import gfp
 
 P = 32003
@@ -170,6 +170,28 @@ def test_truncation_keeps_betti_above_cut_property(n, p, seed):
                 assert koszul_betti(tr, i, j) == v, (r, i, j)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3), st.integers(-1, 4), st.data())
+def test_mul_index_property(n, d, data):
+    """Entry k of mul_index(e, d) is the position of basis(d)[k] + e."""
+    ring = PolyRing(n, 101)
+    e = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n + 1, max_size=n + 1)))
+    got = ring.mul_index(e, d)
+    assert len(got) == ring.dim(d)
+    up = ring.basis(d + sum(e))
+    for k, mono in enumerate(ring.basis(d)):
+        assert up[got[k]] == tuple(a + b for a, b in zip(mono, e))
+
+
+def poly_mul_monomial(poly, expo, p):
+    """poly times the monomial x^expo."""
+    out = {}
+    for e, c in poly.items():
+        key = tuple(a + b for a, b in zip(e, expo))
+        out[key] = (out.get(key, 0) + c) % p
+    return {e: c for e, c in out.items() if c}
+
+
 def free_slice_offsets(pres, d):
     """Start of each generator's block in the free slice of degree d, and
     the slice's dimension."""
@@ -209,23 +231,54 @@ def shift_matrix(pres, d, i):
     return out
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2), st.sampled_from([2, 3, 101]), st.integers(0, 2 ** 32 - 1))
-def test_slice_presentation_matches_projection_section_rule_property(n, p, seed):
+def assert_slice_presentation_matches_oracle(pres, window):
     """Each x_i acts as proj_{d+1} @ shift @ section_d of the
-    projection-section quotients, from an empty slice below the generators
-    up."""
-    pres = random_s_presentation(np.random.default_rng(seed), n, p)
-    m = slice_presentation(pres, (-1, 5))
+    projection-section quotients over the window."""
+    p = pres.ring.p
+    lo, hi = window
+    m = slice_presentation(pres, window)
     quot = {d: quotient_slice_oracle(relation_image(pres, d),
                                      free_slice_offsets(pres, d)[1], p)
-            for d in range(-1, 6)}
-    assert m.hilbert() == [quot[d][0].shape[0] for d in range(-1, 6)]
-    for d in range(-1, 5):
-        for i in range(n + 1):
+            for d in range(lo, hi + 1)}
+    assert m.hilbert() == [quot[d][0].shape[0] for d in range(lo, hi + 1)]
+    for d in range(lo, hi):
+        for i in range(pres.ring.nvars):
             want = gfp.matmul(quot[d + 1][0],
                               gfp.matmul(shift_matrix(pres, d, i), quot[d][1], p), p)
             assert np.array_equal(m.action(i, d), want), (i, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2), st.sampled_from([2, 3, 101]), st.integers(0, 2 ** 32 - 1))
+def test_slice_presentation_matches_projection_section_rule_property(n, p, seed):
+    """The oracle on random presentations, from an empty slice below the
+    generators up."""
+    pres = random_s_presentation(np.random.default_rng(seed), n, p)
+    assert_slice_presentation_matches_oracle(pres, (-1, 5))
+
+
+def _edge_presentations():
+    r1, r2 = PolyRing(1, 101), PolyRing(2, 3)
+    return {
+        "no relations": (SPresentation(r2, (0, 1), (), {}), (-1, 4)),
+        "no generators": (SPresentation(r1, (), (1,), {}), (0, 3)),
+        "unit relation": (SPresentation(r2, (0, 1), (1, 2), {
+            (1, 0): parse_poly(r2, "2"),
+            (0, 1): parse_poly(r2, "x0*x1 + x2^2"),
+            (1, 1): parse_poly(r2, "x1")}), (-1, 4)),
+        "zero module": (SPresentation(r1, (0,), (0,), {(0, 0): parse_poly(r1, "1")}), (0, 3)),
+        "row degrees -1, 0": (SPresentation(r2, (-1, 0), (1,), {
+            (0, 0): parse_poly(r2, "x0^2"),
+            (1, 0): parse_poly(r2, "x1")}), (-2, 4)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_edge_presentations()))
+def test_slice_presentation_matches_oracle_on_edge_cases(name):
+    """Cases random_s_presentation never draws: no relations, no
+    generators, unit relations and a generator below degree 0."""
+    pres, window = _edge_presentations()[name]
+    assert_slice_presentation_matches_oracle(pres, window)
 
 
 def test_truncate_laws():
