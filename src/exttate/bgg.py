@@ -68,10 +68,12 @@ def bgg_R(m):
     """Linear complex of M: rank dim M_i in position i, entries from the
     multiplication maps, read off the nonzeros of the sign-twisted stack
     of the x_t actions.  d o d = 0 is asserted as the commutativity of
-    those actions (see the module docstring); DomainError if it fails."""
+    those actions (see the module docstring), checked here unless m has
+    passed that check already; DomainError if it fails."""
     if m.hi < m.lo:
         raise DomainError("empty window")
-    m.check_commutativity()
+    if not m.checked:
+        m.check_commutativity()
     alg = Algebra(m.ring.n, m.ring.p)
     modules = {}
     diffs = {}

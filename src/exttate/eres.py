@@ -6,14 +6,15 @@ Two independent engines compute graded Betti numbers:
   an ambient module by minimal generators, kept as (ambient, generator
   vectors), and the next step covers the kernel of that cover, built
   slice by slice through `apply` and `gfp.nullspace`.  It resolves a
-  VectorizedModule (step 0 covers the module itself) or the kernel of a
+  VectorizedModule (step 0 covers the module itself), the kernel of a
   GradedMap (`resolve_kernel_steps`, which turns the steps into maps
-  spliced onto the map's source); beta_{i,j} = number of generators of
-  F_i in degree j.  Generators are chosen in kernel coordinates, on
-  stacks of dim ker_d rows instead of dim F_d: the kernel basis N from
-  `gfp.nullspace` has N[free] = I, each e_i maps ker_{d+1} into ker_d,
-  and greedy pivots do not change under an injective linear map (see
-  `_kernel_generators`);
+  spliced onto the map's source) or the cokernel of a minimal
+  presentation (`Resolver.of_presentation`); beta_{i,j} = number of
+  generators of F_i in degree j.  Generators are chosen in kernel
+  coordinates, on stacks of dim ker_d rows instead of dim F_d: the kernel
+  basis N from `gfp.nullspace` has N[free] = I, each e_i maps ker_{d+1}
+  into ker_d, and greedy pivots do not change under an injective linear
+  map (see `_kernel_generators`);
 * the Koszul-type oracle `CartanScanner`: the dimension of the middle
   homology of  G_{i+1} (x) M_{j+i+1} -> G_i (x) M_{j+i} -> G_{i-1} (x) M_{j+i-1}
   where G_i is the i-th divided power of the variable space (dimensions
@@ -164,6 +165,13 @@ def _generator_vectors(phi):
     return [(g, slices[g][:, src.offsets(g)[c]]) for c, g in enumerate(src.gen_degrees)]
 
 
+def _has_unit(amb, gens):
+    """True iff some generator vector has a nonzero E_0 coordinate on a
+    same-degree generator of `amb`, i.e. its map into amb has a unit entry."""
+    return any(v[amb.offsets(g)[r]] for g, v in gens
+               for r, h in enumerate(amb.gen_degrees) if h == g)
+
+
 def _map_from_ambient_vectors(amb, gens):
     """The GradedMap sending new generators to the given ambient vectors."""
     entries = {(r, c): el for c, (g, w) in enumerate(gens)
@@ -182,6 +190,9 @@ class Resolver:
     VectorizedModule, so step 0 is its minimal cover.
     `Resolver.of_kernel(phi)` starts from frees = [source of phi] and the
     kernel of phi's generator vectors, so its steps resolve ker(phi).
+    `Resolver.of_presentation(phi)` takes the same steps behind
+    frees = [target, source], so it resolves coker(phi) when phi is a
+    minimal presentation.
     Choices run through the deterministic pivoting in gfp, so reruns
     reproduce the same vectors.  A step builds the kernel it covers on
     entry, so the last step of a run builds no kernel that nothing reads.
@@ -201,7 +212,28 @@ class Resolver:
                    lambda: _cover_kernel(phi.target, phi.source, _generator_vectors(phi)))
         return res
 
+    @classmethod
+    def of_presentation(cls, phi):
+        """Minimal resolution of coker(phi) built on phi itself, or None if
+        phi is not a minimal presentation of its cokernel.
+
+        F_0 = target(phi) and F_1 = source(phi) when no entry of phi is a
+        unit (the target generators are minimal) and the first cover of
+        ker(phi) has no unit (no source generator is a combination of the
+        others); that cover is taken here.  F_{k+2} is the module of step k
+        (from 0) of of_kernel(phi): `steps` are exactly its steps.
+        """
+        if not phi.is_minimal():
+            return None
+        res = cls.of_kernel(phi)
+        res.step()
+        if res.steps and _has_unit(*res.steps[0]):
+            return None
+        res.frees.insert(0, phi.target)
+        return res
+
     def _start(self, frees, amb, kernel):
+        self.alg = amb.alg
         self.frees = frees
         self.steps = []
         self.terminated = False
@@ -218,11 +250,9 @@ class Resolver:
         if not gens:
             self.terminated = True
             return ()
-        # Past a minimal cover every syzygy lies in m*F, so a unit (a nonzero
-        # E_0 coordinate on a same-degree target generator) is a bug.  The
-        # first cover of a kernel seed may have units: its caller reports them.
-        if self.steps and any(v[amb.offsets(g)[r]] for g, v in gens
-                              for r, h in enumerate(amb.gen_degrees) if h == g):
+        # Past a minimal cover every syzygy lies in m*F, so a unit is a bug.
+        # The first cover of a kernel seed may have units: its caller reports them.
+        if self.steps and _has_unit(amb, gens):
             raise DomainError("internal: non-minimal syzygy step")
         f = FreeEModule(amb.alg, tuple(g for g, _ in gens))
         self.steps.append((amb, gens))
@@ -254,14 +284,18 @@ def minimal_free_resolution(m, i_max):
     return Resolver(m).extend(i_max + 1)
 
 
-def resolve_kernel_steps(phi, steps):
+def resolve_kernel_steps(phi, steps, resolver=None):
     """Minimal free resolution of ker(phi), as maps spliced onto phi's source.
 
     Returns [g_1, g_2, ...] where g_1 : G_1 -> source(phi) covers ker(phi)
     minimally and each later map covers the kernel of the previous one.
+    `resolver`, if given, is one whose steps resolve ker(phi)
+    (`Resolver.of_kernel` or `of_presentation` of phi): its first `steps`
+    steps are read, and it is extended if it has fewer.
     """
-    res = Resolver.of_kernel(phi).extend(steps)
-    return [_map_from_ambient_vectors(amb, gens) for amb, gens in res.steps]
+    res = resolver if resolver is not None else Resolver.of_kernel(phi)
+    res.extend(steps - len(res.steps))
+    return [_map_from_ambient_vectors(amb, gens) for amb, gens in res.steps[:steps]]
 
 
 # ---------------------------------------------------------------------------
@@ -341,28 +375,34 @@ class RegularityResult:
 
 
 def regularity(m, stab_window=None, max_steps=200, stop_below=None):
-    """Stable top row of the Betti table of m.
+    """Stable top row of the Betti table of m, a nonzero VectorizedModule
+    or a Resolver of a minimal free resolution of one.
 
     Walks the minimal free resolution, tracking the top row i + max(gen
-    degree of F_i).  The sequence is non-increasing; once it has stayed
-    constant for `stab_window` consecutive steps (default n+2) the value
-    is reported as certified.  A terminated resolution (free module)
-    certifies immediately.  With `stop_below` set, the scan stops early
-    once the top row drops below it: the bound is then proven (top rows
-    cannot come back up) and the result carries truncated_below=True.
+    degree of F_i); steps the Resolver already holds are read, not
+    recomputed, and the steps taken stay on it.  The sequence is
+    non-increasing; once it has stayed constant for `stab_window`
+    consecutive steps (default n+2) the value is reported as certified.
+    A terminated resolution (free module) certifies immediately.  With
+    `stop_below` set, the scan stops early once the top row drops below
+    it: the bound is then proven (top rows cannot come back up) and the
+    result carries truncated_below=True.
     """
-    if m.is_zero:
+    if isinstance(m, Resolver):
+        res = m
+    elif m.is_zero:
         raise DomainError("regularity of the zero module is undefined")
-    w = stab_window if stab_window is not None else m.alg.nvars + 1
+    else:
+        res = Resolver(m)
+    w = stab_window if stab_window is not None else res.alg.nvars + 1
     if w < 1:
         raise DomainError("stabilization window must be at least 1 step, got %d" % w)
     if max_steps < 0:
         raise DomainError("max_steps must be at least 0, got %d" % max_steps)
-    res = Resolver(m)
     tops = []
     for i in range(max_steps + 1):
-        gens = res.step()
-        if res.terminated:
+        gens = res.frees[i].gen_degrees if i < len(res.frees) else res.step()
+        if not gens:
             return RegularityResult(tops[-1], True, i, tops)
         top = max(g + i for g in gens)
         if tops and top > tops[-1]:

@@ -7,6 +7,13 @@ locus asks for the stable top Betti row of coker(phi-dual) to be 0; member
 points reconstruct to a Tate window with phi as the 0th differential,
 whose generator degrees give the cohomology table of the encoded sheaf.
 
+Each trial resolves coker(phi-dual) once, on the point (`MatrixPoint.resolver`).
+For a minimal presentation phi-dual : F'-dual -> F-dual the resolution is
+F-dual <- F'-dual <- (the steps resolving ker(phi-dual)); by BGG its dual is
+the right half of the Tate window, so membership, the z-histogram and the
+window read the same steps.  A phi-dual that is not a minimal presentation
+has its vectorized cokernel resolved instead (and fails reconstruction).
+
 The census harness samples many points per seed, filters by membership,
 and aggregates distinct tables, observed sheaf regularity, descent
 dimensions and the above-row-zero loci; every tally is deterministic in
@@ -20,7 +27,7 @@ import numpy as np
 from .errors import DomainError
 from .extalg import DEFAULT_PRIME, Algebra, random_element
 from .efree import FreeEModule, GradedMap, vectorize_coker
-from .eres import CartanScanner, regularity
+from .eres import Resolver, regularity
 from .tate import cohomology_table, descent, tate_from_point
 
 # Resolution steps the membership scan may take before it gives up uncertified.
@@ -90,11 +97,32 @@ class MatrixPoint:
         self.phi = phi
         self.n = phi.alg.n
         self._coker_dual = None
+        self._resolver = None
+        self.minimal = None  # is phi-dual a minimal presentation? set by resolver()
 
     def coker_dual(self):
         if self._coker_dual is None:
             self._coker_dual = vectorize_coker(self.phi.dual())
         return self._coker_dual
+
+    def resolver(self):
+        """Minimal free resolution of coker(phi-dual), built once per point.
+
+        When phi-dual is a minimal presentation (`self.minimal`) it is
+        `Resolver.of_presentation(phi-dual)`, whose steps resolve
+        ker(phi-dual) and so also give the right half of the Tate window.
+        Otherwise it resolves the vectorized cokernel, `Resolver(coker_dual())`.
+        """
+        if self._resolver is None:
+            res = Resolver.of_presentation(self.phi.dual())
+            self.minimal = res is not None
+            if res is None:
+                m = self.coker_dual()
+                if m.is_zero:
+                    raise DomainError("cokernel of phi-dual is zero; degenerate point")
+                res = Resolver(m)
+            self._resolver = res
+        return self._resolver
 
     def __repr__(self):
         return "MatrixPoint(%r, n=%d)" % (self.tvec, self.n)
@@ -128,15 +156,15 @@ def sample(tvec, n, rng, p=None):
 def membership_X0(point, stab_window=None):
     """(in X0, certified): is the stable top Betti row of coker(phi-dual) 0?
 
-    Top rows never increase, so once the scan dips below zero the point is
-    certifiably outside; a plateau at any value certifies after the
-    stabilization window.
+    The scan runs on `point.resolver()`: for a minimal presentation its top
+    rows are max deg F-dual at step 0, 1 + max deg F'-dual at step 1, and
+    then the steps resolving ker(phi-dual), which stay on the point for
+    the z-histogram and the Tate window.  Top rows never increase, so once
+    the scan dips below zero the point is certifiably outside; a plateau
+    at any value certifies after the stabilization window.
     """
-    m = point.coker_dual()
-    if m.is_zero:
-        raise DomainError("cokernel of phi-dual is zero; degenerate point")
-    reg = regularity(m, stab_window=stab_window, max_steps=MEMBERSHIP_MAX_STEPS,
-                     stop_below=0)
+    reg = regularity(point.resolver(), stab_window=stab_window,
+                     max_steps=MEMBERSHIP_MAX_STEPS, stop_below=0)
     if reg.truncated_below:
         return False, True
     return (reg.value == 0), reg.certified
@@ -148,9 +176,12 @@ def reconstruct(point, lo, hi):
     Builds the Tate window with phi as the 0th differential and reads the
     table; raises DomainError if the window is not exact/minimal or if the
     extracted columns 0 and 1 disagree with (b, b') -- that would be an
-    internal inconsistency, never returned silently.
+    internal inconsistency, never returned silently.  The right half of
+    the window reuses the point's resolution of coker(phi-dual) when
+    phi-dual is a minimal presentation.
     """
-    win = tate_from_point(point.phi, lo, hi)
+    res = point.resolver()
+    win = tate_from_point(point.phi, lo, hi, res if point.minimal else None)
     table = cohomology_table(win)
     b = list(point.tvec.b)
     bp = list(point.tvec.bprime)
@@ -165,16 +196,25 @@ def reconstruct(point, lo, hi):
     return win, table
 
 
-def z_membership(point, i, scanner):
+def z_membership(point, i):
     """True iff beta_{i,j}(coker phi-dual) != 0 for some j > -i (a Betti
     entry in column i strictly above the zeroth row; rows top out at s).
-    `scanner` is the CartanScanner of point.coker_dual()."""
+
+    The entries are read off `point.resolver()`, extended to step i if it
+    is shorter.  Top rows never increase, so no step past one whose top
+    row is at most 0 has such an entry, and the resolution is not
+    extended past that step.
+    """
     if i < 2:
         raise DomainError("z_membership is defined for i >= 2")
-    for j in range(-i + 1, point.tvec.s - i + 1):
-        if scanner.betti(i, j) != 0:
-            return True
-    return False
+    res = point.resolver()
+    while len(res.frees) <= i and not res.terminated:
+        k = len(res.frees) - 1
+        if k >= 0 and k + max(res.frees[k].gen_degrees, default=-k) <= 0:
+            break
+        res.step()
+    table = res.betti_table()
+    return any(table.get(i, j) for j in range(-i + 1, point.tvec.s - i + 1))
 
 
 def census(tvec, n, trials, window, seed, p=None, stab_window=None):
@@ -204,9 +244,8 @@ def census(tvec, n, trials, window, seed, p=None, stab_window=None):
         rng = np.random.default_rng(streams[t])
         x = sample(tvec, n, rng, p=prime)
         member, certified = membership_X0(x, stab_window=stab_window)
-        sc = CartanScanner(x.coker_dual())
         for i in range(2, zmax + 1):
-            if z_membership(x, i, sc):
+            if z_membership(x, i):
                 zhist[i] = zhist.get(i, 0) + 1
         if not certified:
             uncertified += 1

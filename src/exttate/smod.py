@@ -172,7 +172,10 @@ class SlicedModule:
     """Finite window of degree slices with the multiplication maps.
 
     mult[(i, d)] maps M_d to M_{d+1}; commutativity of the x_i actions is
-    verified at construction and violations raise DomainError.
+    verified at construction and violations raise DomainError.  `checked`
+    records that the check passed; a module built with check=False is
+    unchecked unless it is derived (`truncate`, `shift_grading`,
+    `extend_variable`) from a checked one, whose record it carries.
     """
 
     def __init__(self, ring, window, dims, mult, check=True, complete_below=False):
@@ -192,6 +195,7 @@ class SlicedModule:
                     raise DomainError("mult (x_%d, %d) has shape %s, wants %s"
                                       % (i, d, mat.shape, (self.dims[d + 1], self.dims[d])))
                 self.mult[(i, d)] = mat
+        self.checked = False
         if check:
             self.check_commutativity()
         self._koszul_ranks = {}
@@ -226,6 +230,7 @@ class SlicedModule:
                     if not np.array_equal(ij, ji):
                         raise DomainError(
                             "x_%d and x_%d fail to commute from degree %d" % (i, j, d))
+        self.checked = True
         return True
 
     def hilbert(self):
@@ -287,23 +292,30 @@ def truncate(m, k):
         m.require(min(k, m.lo), max(k, m.hi), "truncate at %d" % k)
     dims = {d: (m.dim(d) if d >= k else 0) for d in range(m.lo, m.hi + 1)}
     mult = {(i, d): a for (i, d), a in m.mult.items() if d >= k}
-    return SlicedModule(m.ring, (m.lo, m.hi), dims, mult, check=False,
-                        complete_below=True)
+    return _derived(m, SlicedModule(m.ring, (m.lo, m.hi), dims, mult, check=False,
+                                    complete_below=True))
 
 
 def extend_variable(m):
     """Same slices over one more variable; x_{n+1} acts by zero."""
     ring2 = PolyRing(m.ring.n + 1, m.ring.p)
-    return SlicedModule(ring2, (m.lo, m.hi), dict(m.dims), m.mult, check=False,
-                        complete_below=m.complete_below)
+    return _derived(m, SlicedModule(ring2, (m.lo, m.hi), dict(m.dims), m.mult,
+                                    check=False, complete_below=m.complete_below))
 
 
 def shift_grading(m, t):
     """m(t) in the twist sense: slice d of the result is m_{d+t}."""
     dims = {d - t: m.dim(d) for d in range(m.lo, m.hi + 1)}
     mult = {(i, d - t): a for (i, d), a in m.mult.items()}
-    return SlicedModule(m.ring, (m.lo - t, m.hi - t), dims, mult, check=False,
-                        complete_below=m.complete_below)
+    return _derived(m, SlicedModule(m.ring, (m.lo - t, m.hi - t), dims, mult,
+                                    check=False, complete_below=m.complete_below))
+
+
+def _derived(m, out):
+    """`out`, built from m's maps, carries m's commutativity record: zeroing
+    slices, shifting degrees and a zero new variable keep actions commuting."""
+    out.checked = m.checked
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -164,12 +164,14 @@ def cohomology_table(window):
     return CohomologyTable(n, window.lo, window.hi, gamma, anomalies)
 
 
-def _resolve_left(phi, pos, lo):
+def _resolve_left(phi, pos, lo, resolver=None):
     """(modules, diffs) at positions lo .. pos-1 left of phi : T^pos -> T^{pos+1}:
-    a minimal free resolution of ker(phi), then zero modules once it ends."""
+    a minimal free resolution of ker(phi), then zero modules once it ends.
+    `resolver`, if given, already resolves ker(phi): its steps are read
+    first and it is extended to pos - lo steps if it has fewer."""
     modules = {}
     diffs = {}
-    steps = resolve_kernel_steps(phi, pos - lo) if pos > lo else []
+    steps = resolve_kernel_steps(phi, pos - lo, resolver) if pos > lo else []
     for g in steps:
         pos -= 1
         modules[pos] = g.source
@@ -199,12 +201,15 @@ def tate_window(m, lo, hi, start=None):
     return TateWindow(cx.alg, lo, hi, modules, diffs, k0)
 
 
-def tate_from_point(phi, lo, hi):
+def tate_from_point(phi, lo, hi, resolver=None):
     """Tate window in which phi is the 0th differential.
 
     The right part dualizes a minimal free resolution of coker(phi-dual)
     built on phi-dual itself: it is the left part of phi-dual's window,
-    reflected by k -> 1 - k.  The left part resolves ker(phi).  Raises
+    reflected by k -> 1 - k.  `resolver`, if given, is a Resolver whose
+    steps resolve ker(phi-dual) (`Resolver.of_presentation` of phi-dual,
+    as a census point holds it); its first hi - 1 steps are read and it is
+    extended if it has fewer.  The left part resolves ker(phi).  Raises
     DomainError if phi has unit entries, if phi-dual is not a minimal
     presentation of its cokernel, or if the resulting generator degrees
     fall outside cohomology rows 0..n.
@@ -214,7 +219,7 @@ def tate_from_point(phi, lo, hi):
     if not phi.is_minimal():
         raise DomainError("phi has a unit entry; not a Tate differential")
     alg = phi.alg
-    right_modules, right_diffs = _resolve_left(phi.dual(), 0, 1 - hi)
+    right_modules, right_diffs = _resolve_left(phi.dual(), 0, 1 - hi, resolver)
     if -1 in right_diffs and not right_diffs[-1].is_minimal():
         raise DomainError(
             "phi-dual is not a minimal presentation of its cokernel "

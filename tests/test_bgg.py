@@ -1,10 +1,13 @@
 """BGG bridge: the forward complex, the inverse reading, linearity checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import free_presentation, random_sliced_module
+from exttate.cli import main
 from exttate.errors import DomainError
 from exttate.bgg import bgg_L_read, bgg_R, graded_map_homology
 from exttate.extalg import Algebra, parse_element
@@ -51,8 +54,30 @@ def test_bgg_R_rejects_noncommuting_actions():
     mult = {(i, d): m.action(i, d).copy() for i in range(2) for d in range(2)}
     mult[(1, 1)][0, 0] = (mult[(1, 1)][0, 0] + 1) % P
     bad = SlicedModule(m.ring, (0, 2), dict(m.dims), mult, check=False)
-    with pytest.raises(DomainError):
-        bgg_R(bad)
+    assert not bad.checked and not truncate(bad, 0).checked
+    for unchecked in (bad, truncate(bad, 0)):
+        with pytest.raises(DomainError):
+            bgg_R(unchecked)
+
+
+def test_cohomology_cycle_checks_each_module_once(monkeypatch, capsys):
+    """bgg_R skips the commutativity check that its input passed: a cycle
+    over the four .smod inputs checks each parsed module once."""
+    calls = []
+    check = SlicedModule.check_commutativity
+
+    def counted(self):
+        calls.append(self)
+        return check(self)
+
+    monkeypatch.setattr(SlicedModule, "check_commutativity", counted)
+    inputs = sorted((Path(__file__).parents[1] / "bench" / "inputs").glob("*.smod"))
+    assert len(inputs) == 4
+    for path in inputs:
+        assert main(["cohomology", "--module", str(path), "--format", "json",
+                     "--window", "-4..6"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 4
 
 
 def test_round_trip():

@@ -1,16 +1,22 @@
 """Type spaces: degree sequences, sampling, membership, reconstruction, census."""
 
+import contextlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from exttate import efree, paramspace
+from exttate.cli import main
 from exttate.errors import DomainError
 from exttate.extalg import Algebra, ExtElement, parse_element
 from exttate.efree import FreeEModule, GradedMap
-from exttate.eres import CartanScanner
+from exttate.eres import CartanScanner, Resolver, regularity
 from exttate.paramspace import (MatrixPoint, TypeVectors, census, degree_sequence,
                                 membership_X0, reconstruct, sample, z_membership)
+from exttate.tate import tate_from_point
 
 
 def test_type_vectors_basic():
@@ -95,11 +101,10 @@ def test_z_membership_point_sheaf_false():
     phi = GradedMap(FreeEModule(alg, (0,)), FreeEModule(alg, (1,)),
                     {(0, 0): parse_element(alg, "e0")})
     pt = MatrixPoint(t11, phi)
-    sc = CartanScanner(pt.coker_dual())
-    assert not z_membership(pt, 2, sc)
-    assert not z_membership(pt, 3, sc)
+    assert not z_membership(pt, 2)
+    assert not z_membership(pt, 3)
     with pytest.raises(DomainError):
-        z_membership(pt, 1, sc)
+        z_membership(pt, 1)
 
 
 def _two_socle_point(n=2, p=32003):
@@ -128,17 +133,19 @@ def test_z_membership_witness_and_chain():
     assert m.hilbert() == [1, 1]  # k in degree 0 and k in degree 1
     member, cert = membership_X0(pt)
     assert cert and not member  # stable top row is 1, not 0
-    sc = CartanScanner(m)
     for i in (2, 3, 4):
-        assert z_membership(pt, i, sc)
-    # the chain Z_{i+1} <= Z_i holds on a mixed corpus
+        assert z_membership(pt, i)
+    # the chain Z_{i+1} <= Z_i holds on a mixed corpus, and each flag
+    # matches the Cartan-strand Betti numbers of the cokernel
     rng = np.random.default_rng(31)
     pool = [pt]
     for _ in range(6):
         pool.append(sample(TypeVectors((1, 1), (1, 1)), 3, rng, p=101))
     for x in pool:
         sc = CartanScanner(x.coker_dual())
-        flags = [z_membership(x, i, sc) for i in (2, 3, 4)]
+        flags = [z_membership(x, i) for i in (2, 3, 4)]
+        assert flags == [any(sc.betti(i, j) for j in range(1 - i, 2 - i))
+                         for i in (2, 3, 4)]
         for a, b in zip(flags, flags[1:]):
             assert (not b) or a
 
@@ -193,3 +200,104 @@ def test_census_saturation_small():
         rep = census(t, n, 30, (-3, 6), seed=11, p=101)
         counts[n] = len(rep["distinctTables"])
     assert counts[3] == counts[4]
+
+
+@contextlib.contextmanager
+def module_path():
+    """The census rule before the trial shared one resolution: membership on
+    Resolver(coker_dual()), the z-flags from a CartanScanner of the cokernel,
+    and a Tate window whose right half is resolved afresh."""
+    scanners = {}
+
+    def membership(point, stab_window=None):
+        m = point.coker_dual()
+        if m.is_zero:
+            raise DomainError("cokernel of phi-dual is zero; degenerate point")
+        reg = regularity(m, stab_window=stab_window,
+                         max_steps=paramspace.MEMBERSHIP_MAX_STEPS, stop_below=0)
+        if reg.truncated_below:
+            return False, True
+        return reg.value == 0, reg.certified
+
+    def z(point, i):
+        sc = scanners.setdefault(point, CartanScanner(point.coker_dual()))
+        return any(sc.betti(i, j) for j in range(1 - i, point.tvec.s - i + 1))
+
+    def window(phi, lo, hi, resolver=None):
+        return tate_from_point(phi, lo, hi)
+
+    with mock.patch.multiple(paramspace, membership_X0=membership, z_membership=z,
+                             tate_from_point=window):
+        yield
+
+
+def census_outcome(*args, **kwargs):
+    try:
+        return census(*args, **kwargs)
+    except DomainError as e:
+        return "DomainError: %s" % e
+
+
+@st.composite
+def small_types(draw):
+    """(type, n) with entries <= 2 and support index s <= n <= 3."""
+    n = draw(st.integers(0, 3))
+    s = draw(st.integers(0, n))
+    b = draw(st.lists(st.integers(0, 2), min_size=s + 1, max_size=s + 1))
+    bp = draw(st.lists(st.integers(0, 2), min_size=s + 1, max_size=s + 1))
+    if b[-1] == 0 and bp[-1] == 0:
+        bp[-1] = 1
+    return TypeVectors(b, bp), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_types(), st.sampled_from([2, 3, 101]), st.integers(0, 2 ** 32 - 1),
+       st.integers(-3, 0), st.integers(1, 6))
+def test_census_matches_module_path(tn, p, seed, lo, hi):
+    """One shared resolution per trial gives the reports of the module path,
+    on minimal presentations and on the fallback (small n and p make
+    phi-dual non-minimal often)."""
+    tvec, n = tn
+    got = census_outcome(tvec, n, 3, (lo, hi), seed, p=p)
+    with module_path():
+        want = census_outcome(tvec, n, 3, (lo, hi), seed, p=p)
+    assert got == want
+
+
+def test_member_trial_resolves_coker_phi_dual_once(monkeypatch):
+    """A (1; 2) member trial builds no vectorized cokernel and ranks no
+    Cartan strand; it resolves kernels twice, of phi-dual and of phi."""
+    counts = {"vectorize_coker": 0, "cartan": 0}
+    seeds = []
+    vectorize, rank = efree.vectorize_coker, CartanScanner._rank
+    of_kernel = Resolver.of_kernel.__func__
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    def seeded(cls, phi):
+        seeds.append((phi.source.gen_degrees, phi.target.gen_degrees))
+        return of_kernel(cls, phi)
+
+    for mod in (efree, paramspace):
+        monkeypatch.setattr(mod, "vectorize_coker", counted("vectorize_coker", vectorize))
+    monkeypatch.setattr(CartanScanner, "_rank", counted("cartan", rank))
+    monkeypatch.setattr(Resolver, "of_kernel", classmethod(seeded))
+    rep = census(TypeVectors((1,), (2,)), 3, 1, (-3, 6), seed=0, p=101)
+    assert rep["members"] == 1 and rep["distinctTables"]
+    assert counts == {"vectorize_coker": 0, "cartan": 0}
+    # phi : E(0) -> E(1)^2, so phi-dual : E(-1)^2 -> E(0)
+    assert seeds == [((-1, -1), (0,)), ((0,), (1, 1))]
+
+
+def test_non_minimal_n0_point_fails_reconstruction(capsys):
+    """At n=0 a (1; 2) point has phi-dual with a redundant relation: both
+    trials are members by the vectorized cokernel and fail reconstruction."""
+    code = main(["census", "--b", "1", "--bprime", "2", "-n", "0", "--trials", "2",
+                 "--seed", "0", "--window", "-3..6"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (rep["members"], rep["reconstructionFailures"]) == (2, 2)
