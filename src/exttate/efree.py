@@ -10,20 +10,24 @@ coefficients.
 
 Slice-level data (cokernels) is held in VectorizedModule: graded
 dimensions plus one GF(p) matrix per variable mapping slice d to d-1.
-Every subspace has one form, the pair (N, free) of `gfp.nullspace`: the
-columns of N are a basis and N[free] is the identity.  A kernel slice is
-N itself; a quotient slice k^amb / image is the nullspace of image.T, with
-projection N.T and the coordinates `free` as its basis (`vectorize_coker`,
-and `smod.slice_presentation` on the S-side).
+A quotient slice k^amb / image is the pair (N, free) of `gfp.nullspace`
+of image.T: the columns of N are a basis with N[free] the identity, the
+projection is N.T and the coordinates `free` are its basis
+(`vectorize_coker`, and `smod.slice_presentation` on the S-side).  The
+Resolver's kernel slices are the same basis kept as nonzeros (see `eres`).
 
 FreeEModule and VectorizedModule both expose the e_i action as
-`action(i, d)` and its product with slice vectors as `apply(i, d, x)`.
-The resolution engine (`eres`) acts on either one through `apply` alone;
-on a free module `apply` is a signed gather, since e_i sends each basis
-vector to 0 or to plus or minus one basis vector.  Gathers are cached per
-module, as a resolution asks for each (i, d) up to three times.  Whole
-action matrices are read by `vectorize_coker` (FreeEModule.action) and by
-the Cartan oracle and `cone_extend` in `eres` (VectorizedModule.action).
+`action(i, d)`, its nonzeros as `action_nonzeros(i, d)` and its product
+with slice vectors as `apply(i, d, x)`.  The resolution engine (`eres`)
+acts on either one through `apply` and `action_nonzeros` alone.  On a
+free module both read the gather of e_i, since e_i sends each basis
+vector to 0 or to plus or minus one basis vector; a gather serves
+`apply` on the images a cover builds, the radical's nonzeros in the
+generator choice, and the source side of the next cover.  Gathers are
+cached per module, as a resolution asks for each (i, d) up to three
+times.  Whole action matrices are read by `vectorize_coker`
+(FreeEModule.action) and by the Cartan oracle and `cone_extend` in `eres`
+(VectorizedModule.action).
 
 The `.emat` matrix format shares its parser skeleton, `parse_matrix_file`,
 with the `.smod` format of the S-side.
@@ -99,6 +103,10 @@ class FreeEModule:
                               np.tile(b[rr, cc], len(gens))))
             self._gathers[i, d] = tuple(np.concatenate(v) for v in zip(*parts))
         return self._gathers[i, d]
+
+    def action_nonzeros(self, i, d):
+        """The nonzeros of action(i, d) as (rows, cols, values): the gather."""
+        return self._gather(i, d)
 
     def action(self, i, d):
         """Matrix of right multiplication by e_i from slice d to slice d-1."""
@@ -260,6 +268,12 @@ class VectorizedModule:
         if key in self.actions:
             return self.actions[key]
         return gfp.zeros(self.dim(d - 1), self.dim(d))
+
+    def action_nonzeros(self, i, d):
+        """The nonzeros of action(i, d) as (rows, cols, values)."""
+        mat = self.action(i, d)
+        rows, cols = np.nonzero(mat)
+        return rows, cols, mat[rows, cols]
 
     def apply(self, i, d, x):
         """action(i, d) @ x mod p for slice-d columns x."""

@@ -5,16 +5,19 @@ Two independent engines compute graded Betti numbers:
 * the resolution engine `Resolver`.  Its one step covers a submodule of
   an ambient module by minimal generators, kept as (ambient, generator
   vectors), and the next step covers the kernel of that cover, built
-  slice by slice through `apply` and `gfp.nullspace`.  It resolves a
+  slice by slice through `apply` and `gfp.rref`.  It resolves a
   VectorizedModule (step 0 covers the module itself), the kernel of a
   GradedMap (`resolve_kernel_steps`, which turns the steps into maps
   spliced onto the map's source) or the cokernel of a minimal
   presentation (`Resolver.of_presentation`); beta_{i,j} = number of
-  generators of F_i in degree j.  Generators are chosen in kernel
-  coordinates, on stacks of dim ker_d rows instead of dim F_d: the kernel
-  basis N from `gfp.nullspace` has N[free] = I, each e_i maps ker_{d+1}
-  into ker_d, and greedy pivots do not change under an injective linear
-  map (see `_kernel_generators`);
+  generators of F_i in degree j.  A kernel is kept as the nonzeros of its
+  basis read off the rref (`_kernel_from_rref`): the pivot block, with the
+  identity on the free columns implied, never a dense n x (n - rank)
+  array.  Generators are chosen in kernel coordinates, among dim ker_d
+  unit vectors instead of dim F_d: each e_i maps ker_{d+1} into ker_d,
+  greedy choices do not change under an injective linear map, and the
+  nonzeros of the radical come straight from those of ker_{d+1} through
+  the nonzeros of the action (see `_kernel_generators`);
 * the Koszul-type oracle `CartanScanner`: the dimension of the middle
   homology of  G_{i+1} (x) M_{j+i+1} -> G_i (x) M_{j+i} -> G_{i-1} (x) M_{j+i-1}
   where G_i is the i-th divided power of the variable space (dimensions
@@ -85,7 +88,7 @@ class BettiTable:
 
 
 def _cover_kernel(amb, f, gens):
-    """Per-degree kernels, as (basis, free columns) pairs, of the map
+    """Per-degree kernels, in the form of `_kernel_from_rref`, of the map
     f -> amb sending the generators of the free module f to the vectors of
     `gens`, (degree, ambient vector) pairs in f's generator order.
 
@@ -93,7 +96,8 @@ def _cover_kernel(amb, f, gens):
     gen * m of slice d of f is b * e_i for the basis vector b = gen * m' of
     slice d+1, where e_i is the last factor of m = m' e_i, so the sign is +1
     and the largest i reaching gen * m in f._gather(i, d+1) is that factor.
-    Its image is amb.apply(i, d+1, .) of the image of b."""
+    Its image is amb.apply(i, d+1, .) of the image of b.  The images of a
+    slice are eliminated by `gfp.rref`, and the kernel is read off it."""
     ker = {}
     lo, hi = f.degree_range()
     above = None
@@ -116,43 +120,108 @@ def _cover_kernel(amb, f, gens):
         for cols, block in parts:
             above[:, cols] = block
         del parts  # free the blocks before the elimination
-        N, free = gfp.nullspace(above, f.alg.p)
-        if N.shape[1]:
-            ker[d] = (N, free)
+        if above.shape[0]:
+            kernel = _kernel_from_rref(*gfp.rref(above, f.alg.p), f.alg.p)
+        else:
+            kernel = _identity_kernel(n)
+        if len(kernel[1]):
+            ker[d] = kernel
     return ker
+
+
+def _kernel_from_rref(R, piv, p):
+    """The right kernel of a matrix, read off its rref R with pivot columns
+    piv, as its nonzeros: (n, free, vec, coord, val).
+
+    Kernel vector k, for k < len(free), has 1 at its free column free[k]
+    and p - R[r, free[k]] at the pivot column piv[r] of each row r: the
+    pivot block, with no identity block stored.  Its nonzeros are val at
+    coord where vec == k, sorted by vec; n is the length of the vectors.
+    This is the basis of `gfp.nullspace`: vector k is column k of its N.
+    """
+    n = R.shape[1]
+    is_free = np.ones(n, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
+    rr, cc = np.nonzero(R[:len(piv)])
+    rr, cc = rr[is_free[cc]], cc[is_free[cc]]
+    vec = np.concatenate([np.arange(len(free)), np.cumsum(is_free)[cc] - 1])
+    coord = np.concatenate([free, np.asarray(piv, dtype=np.intp)[rr]])
+    val = np.concatenate([np.ones(len(free), dtype=np.int64), p - R[rr, cc].astype(np.int64)])
+    order = np.argsort(vec, kind="stable")
+    return n, free, vec[order], coord[order], val[order]
+
+
+def _identity_kernel(n):
+    """The whole space k^n in the form of `_kernel_from_rref`."""
+    idx = np.arange(n)
+    return n, idx, idx, idx, np.ones(n, dtype=np.int64)
+
+
+def _radical(amb, d, up, free, n):
+    """The e_i images of the kernel `up` of degree d (`_kernel_from_rref`
+    form), in the coordinates `free` of the kernel of degree d-1, whose
+    vectors have length n: (vector, coordinate, value) arrays, where image
+    i of kernel vector k is vector i * len(up free) + k.
+
+    A kernel nonzero at coordinate s meets every nonzero of amb's action
+    in column s; on a free module there is at most one.  Targets outside
+    `free` are dropped: they are determined by the others.
+    """
+    p = amb.alg.p
+    _, up_free, vec, coord, val = up
+    pos = np.full(n, -1)
+    pos[free] = np.arange(len(free))
+    parts = []
+    for i in range(amb.alg.nvars):
+        rows, cols, vals = amb.action_nonzeros(i, d)
+        by_col = np.argsort(cols, kind="stable")
+        rows, cols, vals = rows[by_col], cols[by_col], vals[by_col]
+        lo = np.searchsorted(cols, coord)
+        cnt = np.searchsorted(cols, coord, side="right") - lo
+        at = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+        j = pos[rows[at]]
+        keep = j >= 0
+        parts.append((np.repeat(vec + i * len(up_free), cnt)[keep], j[keep],
+                      (np.repeat(val, cnt) * vals[at].astype(np.int64))[keep] % p))
+    return [np.concatenate(v) for v in zip(*parts)]
 
 
 def _kernel_generators(alg, amb, ker):
     """Minimal generators of a graded submodule K of `amb`.
 
-    `ker` maps each degree d to (N, free): the columns of N are a basis of
-    K_d in ambient coordinates and N[free] is the identity.  In each degree
-    (top down) the basis columns extending the radical, the span of the
-    e_i images of K_{d+1}, are the generators; they are returned as
-    (degree, ambient vector) pairs, copied out of the basis so that a kept
-    step does not keep the whole kernel alive.
+    `ker` maps each degree d to the nonzeros of a basis of K_d in ambient
+    coordinates (`_kernel_from_rref`): basis vector k has 1 at free[k] and
+    0 at the other free coordinates.  In each degree (top down) the basis
+    vectors extending the radical, the span of the e_i images of K_{d+1},
+    are the generators; each is returned as (degree, ambient vector), a
+    fresh array.
 
     The choice is made in kernel coordinates.  Every e_i maps K_{d+1} into
-    K_d, so a radical vector v lies in the span of N and has coordinates
-    v[free] over it.  Restricted to K_d, v -> v[free] is injective, and a
-    greedy column choice only asks whether a column lies in the span of the
-    columns before it, which an injective linear map preserves.  So
-    extending rad[free] by the unit columns picks the same columns as
-    extending rad by N, on a stack of dim K_d rows instead of dim amb_d.
+    K_d, so a radical vector v lies in K_d and has coordinates v[free]
+    over its basis.  Restricted to K_d, v -> v[free] is injective, and a
+    greedy choice only asks whether a vector lies in the span of the
+    radical and the basis vectors before it, which an injective linear map
+    preserves.  So extending the radical's v[free] by the unit vectors
+    (`gfp.extend_column_basis`) picks the same basis vectors as extending
+    the radical by the basis in ambient coordinates.  The radical's
+    nonzeros come from those of K_{d+1} through the action's
+    (`_radical`), and no dense basis or radical is built.
     """
     gens = []
     for d in sorted(ker, reverse=True):
-        basis, free = ker[d]
-        nk = basis.shape[1]
+        n, free, vec, coord, val = ker[d]
         up = ker.get(d + 1)
         if up is None:
-            idx = range(nk)
+            chosen = range(len(free))
         else:
-            rad = np.hstack([amb.apply(i, d + 1, up[0])[free]
-                             for i in range(alg.nvars)])
-            idx = gfp.extend_column_basis(rad, gfp.eye(nk), alg.p)
-        for c in idx:
-            gens.append((d, basis[:, c].copy()))
+            chosen = gfp.extend_column_basis(*_radical(amb, d + 1, up, free, n),
+                                             len(free), alg.p)
+        for c in chosen:
+            lo, hi = np.searchsorted(vec, [c, c + 1])
+            v = np.zeros(n)
+            v[coord[lo:hi]] = val[lo:hi]
+            gens.append((d, v))
     return gens
 
 
@@ -202,7 +271,7 @@ class Resolver:
         if module.is_zero:
             raise DomainError("cannot resolve the zero module")
         self._start([], module,
-                    lambda: {d: (gfp.eye(n), np.arange(n)) for d, n in module.dims.items()})
+                    lambda: {d: _identity_kernel(n) for d, n in module.dims.items()})
 
     @classmethod
     def of_kernel(cls, phi):
@@ -213,7 +282,7 @@ class Resolver:
         return res
 
     @classmethod
-    def of_presentation(cls, phi):
+    def of_presentation(cls, phi, kernel=None):
         """Minimal resolution of coker(phi) built on phi itself, or None if
         phi is not a minimal presentation of its cokernel.
 
@@ -222,10 +291,13 @@ class Resolver:
         ker(phi) has no unit (no source generator is a combination of the
         others); that cover is taken here.  F_{k+2} is the module of step k
         (from 0) of of_kernel(phi): `steps` are exactly its steps.
+        `kernel`, if given, is a fresh `Resolver.of_kernel(phi)` that the
+        caller keeps: the first cover is taken on it, and it is the
+        resolver returned when phi is a minimal presentation.
         """
         if not phi.is_minimal():
             return None
-        res = cls.of_kernel(phi)
+        res = kernel if kernel is not None else cls.of_kernel(phi)
         res.step()
         if res.steps and _has_unit(*res.steps[0]):
             return None

@@ -9,26 +9,30 @@ bound; the largest accepted prime is 94,906,249.
 
 Elimination is Gauss-Jordan on sparse rows: the lever of structured
 Gaussian elimination (Faugere-Lachartre, PASCO 2010), taken to single
-rows.  The nonzeros of A are read once, and each row becomes a dict
-{column: residue} of Python ints, so every step is exact for every prime
-and does not rest on the float64 bound.  An entry that reduces to 0 is
-dropped.  Rows are inserted fewest nonzeros first and reduced at their
-leading column until they are zero or lead in a new pivot column; one
-back-substitution then gives the reduced form, which is written back
-into A as float64.  The package's slice matrices stay sparse through
-this: over the eliminations of a (1; 2) census at n=7, the cohomology of
-the twisted cubic and the elliptic quartic, two (1,1; 1,1) and (1; 2)
-censuses at n=4, `mccullough --ell 2` and ell=3 `betti --direct --imax 4`,
-none with both sides at least 32 ended more than 13.6% dense.
+rows.  There is one elimination kernel, `_insert_rows`, fed (row,
+column, value) triplets: `echelon` reads the nonzeros of A once, and
+`extend_column_basis` passes on the nonzeros it is given.  Each row
+becomes a dict {column: residue} of Python ints, so every step is exact
+for every prime and does not rest on the float64 bound.  An entry that
+reduces to 0 is dropped.  Rows are inserted fewest nonzeros first and
+reduced at their leading column until they are zero or lead in a new
+pivot column; for `echelon`, one back-substitution then gives the
+reduced form, which is written back into A as float64.  The package's
+slice matrices stay sparse through this: over the eliminations of a
+(1; 2) census at n=7, the cohomology of the twisted cubic and the
+elliptic quartic, two (1,1; 1,1) and (1; 2) censuses at n=4,
+`mccullough --ell 2` and ell=3 `betti --direct --imax 4`, none with both
+sides at least 32 ended more than 13.6% dense.
 
 Callers read only canonical results, which do not depend on how the
 elimination ran: `rank`; the reduced row echelon form from `rref` and
-`echelon`, which is unique; `nullspace`, built from that form; and the
-pivot columns from `echelon` and `extend_column_basis`, the
-lexicographically first column basis.  All of them are determined by the
-row space, so the order in which rows are inserted and the choice of
-pivot row are free; both are chosen to keep fill-in down.  In alternating
-runs of `census --b 1 --bprime 2 -n 7 --trials 2 --seed 0 --window -3..6`
+`echelon`, which is unique; `nullspace`, built from that form; the pivot
+columns from `echelon`, the lexicographically first column basis; and
+the unit vectors from `extend_column_basis`.  All of them are determined
+by the row space, so the order in which rows are inserted and the choice
+of pivot row are free; both are chosen to keep fill-in down.  In
+alternating runs of
+`census --b 1 --bprime 2 -n 7 --trials 2 --seed 0 --window -3..6`
 (one thread, 2-core VM) this kernel took 2.60 / 2.55 s, against
 2.82 / 3.08 s when a sparser row does not displace the pivot row it
 meets, 3.75 / 4.36 s inserting rows in their given order, and
@@ -42,6 +46,21 @@ dicts: at p = 32003 a random dense 100 x 100 matrix takes 0.08-0.11 s
 (0.014 s with the float64 kernel), 400 x 400 takes 6.4-7.0 s (0.73 s),
 and a 1000 x 1000 matrix at 1% density fills in and takes 18-20 s
 (2.2 s).  No command of the package makes such a matrix.
+
+`extend_column_basis` is the generator choice of a resolution step.  It
+takes the nonzeros of some vectors of length nk, spanning S, and returns
+the j for which e_j is not in span(S, e_0, ..., e_{j-1}).  That is the
+case exactly when j is the last nonzero coordinate of no vector of S, so
+the answer is the complement of the pivots of S once its coordinates
+are reversed, j -> nk-1-j; no identity block is stacked beside S.
+Before eliminating, every vector with a single nonzero is taken as the
+unit vector e_u and coordinate u is deleted from the other vectors,
+until no such vector is left: the singleton step of structured Gaussian
+elimination (LaMacchia-Odlyzko, CRYPTO '90).  It is exact, since for
+e_u in S the pivots of S are u and the pivots of S with coordinate u
+zeroed.  On the ell=3 quadric to step 4 it leaves nothing to eliminate:
+the 20 choices of one resolution took 1.2 ms with the step and 23 ms
+without it (best of 5, one thread, shared 2-core VM).
 """
 
 import numpy as np
@@ -130,40 +149,14 @@ def _eliminate(A, p):
     """Gauss-Jordan elimination of A in place; returns the pivot columns.
 
     Afterwards A is in reduced row echelon form, its pivot rows first and
-    zero rows after.  A row is a dict {column: residue} of Python ints, and
-    a pivot row is stored as its tail, the entries right of its leading 1.
-    Rows go in fewest nonzeros first, the lowest index on a tie.  Each step
-    takes the leading entry x off a row.  Where no pivot leads in that
-    column yet, the rest of the row times x^-1 is stored as a tail;
-    otherwise x times that pivot's tail is subtracted from the rest.  A row
-    with fewer entries than the tail it meets becomes the pivot instead,
-    and the displaced tail is reduced on.  The leading column grows at
-    every step, so each row is done within n steps.  One back-substitution
-    over the pivot columns, right to left, then clears the entries above
-    the pivots.
+    zero rows after.  The nonzeros of A go through `_insert_rows`; one
+    back-substitution over the pivot columns, right to left, then clears
+    the entries above the pivots.
     """
     r, c = np.nonzero(A)
-    if r.size == 0:
+    tails = _insert_rows(r, c.tolist(), A[r, c].astype(np.int64).tolist(), p)
+    if not tails:
         return []
-    cols = c.tolist()
-    vals = A[r, c].astype(np.int64).tolist()
-    bounds = np.searchsorted(r, np.arange(A.shape[0] + 1)).tolist()
-    tails = {}  # pivot column -> the tail of its pivot row
-    for i in np.argsort(np.diff(bounds), kind="stable").tolist():
-        row = dict(zip(cols[bounds[i]:bounds[i + 1]], vals[bounds[i]:bounds[i + 1]]))
-        while row:
-            lead = min(row)
-            x = row.pop(lead)
-            tail = tails.get(lead)
-            if tail is None or len(row) < len(tail):
-                if x != 1:
-                    x = pow(x, -1, p)
-                    row = {j: v * x % p for j, v in row.items()}
-                tails[lead] = row
-                if tail is None:
-                    break
-                row, tail, x = tail, row, 1
-            _axpy(row, p - x, tail, p)
     order = sorted(tails)
     for lead in reversed(order):
         # the tails of the pivots right of lead are free of pivot columns
@@ -179,6 +172,45 @@ def _eliminate(A, p):
     A.fill(0.0)
     A[ri, ci] = vi
     return order
+
+
+def _insert_rows(rows, cols, vals, p):
+    """Row echelon form of the rows given by (row, column, value) triplets,
+    as {pivot column: tail}; a tail is the rest of its pivot row right of
+    the leading 1, a dict {column: residue}.
+
+    `rows` is a numpy array of row labels in nondecreasing order, `cols`
+    and `vals` the lists of the columns and nonzero residues (Python ints)
+    beside them; a (row, column) pair occurs once.  A row is a dict of
+    Python ints.  Rows go in fewest nonzeros first, the lowest label on a
+    tie.  Each step takes the leading entry x off a row.  Where no pivot
+    leads in that column yet, the rest of the row times x^-1 is stored as
+    a tail; otherwise x times that pivot's tail is subtracted from the
+    rest.  A row with fewer entries than the tail it meets becomes the
+    pivot instead, and the displaced tail is reduced on.  The leading
+    column grows at every step, so each row is done within n steps.
+    """
+    if not len(rows):
+        return {}
+    bounds = [0] + (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist() + [len(rows)]
+    sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    tails = {}  # pivot column -> the tail of its pivot row
+    for k in sorted(range(len(sizes)), key=sizes.__getitem__):
+        row = dict(zip(cols[bounds[k]:bounds[k + 1]], vals[bounds[k]:bounds[k + 1]]))
+        while row:
+            lead = min(row)
+            x = row.pop(lead)
+            tail = tails.get(lead)
+            if tail is None or len(row) < len(tail):
+                if x != 1:
+                    x = pow(x, -1, p)
+                    row = {j: v * x % p for j, v in row.items()}
+                tails[lead] = row
+                if tail is None:
+                    break
+                row, tail, x = tail, row, 1
+            _axpy(row, p - x, tail, p)
+    return tails
 
 
 def _axpy(row, f, tail, p):
@@ -242,16 +274,37 @@ def nullspace(a, p):
     return N, free
 
 
-def extend_column_basis(base, cand, p):
-    """Indices of candidate columns that extend the column space of `base`.
+def extend_column_basis(vecs, coords, vals, nk, p):
+    """The unit vectors that extend the span S of some vectors of length nk,
+    chosen greedily: the j, in increasing order, with e_j not in
+    span(S, e_0, ..., e_{j-1}).
 
-    Greedy left to right over `cand`; deterministic.
+    The vectors are given by their nonzeros as integer arrays: vector
+    vecs[t] has vals[t] at coordinate coords[t], and entries that meet at
+    one (vector, coordinate) add up.  The answer is the complement of the
+    reversed pivots of S, after the singleton step (see the module notes).
     """
-    base = np.atleast_2d(np.asarray(base, dtype=np.float64))
-    cand = np.atleast_2d(np.asarray(cand, dtype=np.float64))
-    w = base.shape[1]
-    piv = echelon(np.hstack([base, cand]), p)[1]
-    return [c - w for c in piv if c >= w]
+    key = np.asarray(vecs, dtype=np.int64) * nk + np.asarray(coords, dtype=np.int64)
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], np.asarray(vals, dtype=np.int64)[order] % p
+    repeat = key[1:] == key[:-1]
+    if repeat.any():
+        first = np.flatnonzero(np.concatenate([[True], ~repeat]))
+        key, vals = key[first], np.add.reduceat(vals, first) % p
+    nonzero = vals != 0
+    vecs, coords = np.divmod(key[nonzero], max(nk, 1))
+    vals = vals[nonzero]
+    spanned = np.zeros(nk, dtype=bool)
+    while vecs.size:
+        single = np.bincount(vecs)[vecs] == 1
+        if not single.any():
+            break
+        spanned[coords[single]] = True
+        keep = ~spanned[coords]
+        vecs, coords, vals = vecs[keep], coords[keep], vals[keep]
+    tails = _insert_rows(vecs, (nk - 1 - coords).tolist(), vals.tolist(), p)
+    spanned[[nk - 1 - c for c in tails]] = True
+    return np.flatnonzero(~spanned).tolist()
 
 
 def random_matrix(rows, cols, p, rng):

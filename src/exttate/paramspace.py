@@ -98,7 +98,7 @@ class MatrixPoint:
         self.n = phi.alg.n
         self._coker_dual = None
         self._resolver = None
-        self.minimal = None  # is phi-dual a minimal presentation? set by resolver()
+        self.kernel_resolver = None  # Resolver.of_kernel(phi-dual); set by resolver()
 
     def coker_dual(self):
         if self._coker_dual is None:
@@ -108,14 +108,20 @@ class MatrixPoint:
     def resolver(self):
         """Minimal free resolution of coker(phi-dual), built once per point.
 
-        When phi-dual is a minimal presentation (`self.minimal`) it is
+        When phi-dual is a minimal presentation it is
         `Resolver.of_presentation(phi-dual)`, whose steps resolve
         ker(phi-dual) and so also give the right half of the Tate window.
         Otherwise it resolves the vectorized cokernel, `Resolver(coker_dual())`.
+        Either way `kernel_resolver` is the `Resolver.of_kernel(phi-dual)`
+        that the presentation was tried on, its first cover taken when phi
+        has no unit: in the first case it is the resolver itself, and in
+        the second the Tate window reads it instead of resolving
+        ker(phi-dual) again.
         """
         if self._resolver is None:
-            res = Resolver.of_presentation(self.phi.dual())
-            self.minimal = res is not None
+            phid = self.phi.dual()
+            self.kernel_resolver = Resolver.of_kernel(phid)
+            res = Resolver.of_presentation(phid, self.kernel_resolver)
             if res is None:
                 m = self.coker_dual()
                 if m.is_zero:
@@ -177,11 +183,11 @@ def reconstruct(point, lo, hi):
     table; raises DomainError if the window is not exact/minimal or if the
     extracted columns 0 and 1 disagree with (b, b') -- that would be an
     internal inconsistency, never returned silently.  The right half of
-    the window reuses the point's resolution of coker(phi-dual) when
-    phi-dual is a minimal presentation.
+    the window reads the point's resolution of ker(phi-dual),
+    `point.kernel_resolver`.
     """
-    res = point.resolver()
-    win = tate_from_point(point.phi, lo, hi, res if point.minimal else None)
+    point.resolver()
+    win = tate_from_point(point.phi, lo, hi, point.kernel_resolver)
     table = cohomology_table(win)
     b = list(point.tvec.b)
     bp = list(point.tvec.bprime)

@@ -207,12 +207,12 @@ def tate_from_point(phi, lo, hi, resolver=None):
     The right part dualizes a minimal free resolution of coker(phi-dual)
     built on phi-dual itself: it is the left part of phi-dual's window,
     reflected by k -> 1 - k.  `resolver`, if given, is a Resolver whose
-    steps resolve ker(phi-dual) (`Resolver.of_presentation` of phi-dual,
-    as a census point holds it); its first hi - 1 steps are read and it is
-    extended if it has fewer.  The left part resolves ker(phi).  Raises
-    DomainError if phi has unit entries, if phi-dual is not a minimal
-    presentation of its cokernel, or if the resulting generator degrees
-    fall outside cohomology rows 0..n.
+    steps resolve ker(phi-dual) (`Resolver.of_kernel` or `of_presentation`
+    of phi-dual, as a census point holds it); its first hi - 1 steps are
+    read and it is extended if it has fewer.  The left part resolves
+    ker(phi).  Raises DomainError if phi has unit entries, if phi-dual is
+    not a minimal presentation of its cokernel, or if the resulting
+    generator degrees fall outside cohomology rows 0..n.
     """
     if lo > 0 or hi < 1:
         raise DomainError("window [%d, %d] must contain positions 0 and 1" % (lo, hi))

@@ -104,6 +104,26 @@ def quotient_slice_oracle(image_cols, amb_dim, p):
     return proj, section
 
 
+def dense_extend_column_basis(base, cand, p):
+    """The dense greedy rule that `gfp.extend_column_basis` replaced, kept as
+    its oracle: the candidate columns that extend the column space of
+    `base`, left to right, as pivots of one elimination of [base | cand]."""
+    base = np.atleast_2d(np.asarray(base, dtype=np.float64))
+    cand = np.atleast_2d(np.asarray(cand, dtype=np.float64))
+    w = base.shape[1]
+    piv = gfp.echelon(np.hstack([base, cand]), p)[1]
+    return [c - w for c in piv if c >= w]
+
+
+def dense_kernel(kernel):
+    """A Resolver kernel, kept as its nonzeros (n, free, vec, coord, val),
+    as the dense pair (N, free) of `gfp.nullspace`."""
+    n, free, vec, coord, val = kernel
+    N = gfp.zeros(n, len(free))
+    N[coord, vec] = val
+    return N, free
+
+
 def module_corpus(count, seed, nmax=4, p=32003):
     """Deterministic list of small nonzero modules over varied n <= nmax."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))

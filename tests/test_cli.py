@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -294,6 +295,34 @@ def test_quadric_betti_imports_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+QUADRIC_L3_BETTI = """row\\i 0 1  2  3   4   5
+    0 1 .  .  .   .   .
+   -1 . 1  .  .   .   .
+   -3 . . 14 70 216 525
+"""
+
+
+def _one_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_quadric_betti_to_step_5_fits_in_one_gib(tmp_path):
+    """ell=3 `betti --direct --imax 5` (the quadric of bench/inputs) under a
+    1 GiB address space.  Built dense, the generator choice of step 5
+    stacks the radical beside an identity block, 3,354 x 12,300 (315 MiB);
+    from the nonzeros, no Resolver step builds a dense kernel basis,
+    radical or identity block."""
+    path = tmp_path / "quadric_l3.emat"
+    path.write_text(QUADRIC_L3)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(exttate.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "exttate.cli", "betti", "--ematrix", str(path),
+                           "--direct", "--imax", "5"], capture_output=True, text=True,
+                          timeout=300, env=env, preexec_fn=_one_gib_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == QUADRIC_L3_BETTI
 
 
 def test_out_of_memory_exits_without_traceback(capsys, monkeypatch, point_file):

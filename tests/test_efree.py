@@ -152,7 +152,7 @@ def test_rank_nullity_per_degree(small_corpus):
     lo, hi = f.source.degree_range()
     for d in range(lo, hi + 1):
         sl = f.slice_matrix(d)
-        dim_ker = ker[d][0].shape[1] if d in ker else 0
+        dim_ker = len(ker[d][1]) if d in ker else 0
         assert dim_ker + gfp.rank(sl, P) == f.source.slice_dim(d)
 
 
@@ -161,11 +161,11 @@ def test_kernel_examples():
     # e0 : E -> E(-1); kernel is (e0), dims 0,1 in degrees 0,-1
     f = emap(alg, (0,), (1,), {(0, 0): "e0"})
     ker = slice_kernel(f)
-    assert 0 not in ker and ker[-1][0].shape[1] == 1
+    assert 0 not in ker and len(ker[-1][1]) == 1
     # zero map: kernel equals the source
     z = emap(alg, (0,), (1,), {})
     kz = slice_kernel(z)
-    assert [kz[d][0].shape[1] for d in (-1, 0)] == [1, 1]
+    assert [len(kz[d][1]) for d in (-1, 0)] == [1, 1]
     # injective-in-every-degree map (an isomorphism) has zero kernel
     alg1 = Algebra(1)
     inj = emap(alg1, (0,), (0,), {(0, 0): "1"})

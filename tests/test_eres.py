@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (free_as_vectorized, module_corpus, quotient_by, residue_field,
-                      small_graded_maps)
+from conftest import (dense_extend_column_basis, dense_kernel, free_as_vectorized,
+                      module_corpus, quotient_by, residue_field, small_graded_maps)
 from exttate.bgg import graded_map_homology
 from exttate.errors import DomainError
 from exttate.extalg import Algebra, ExtElement, parse_element
@@ -312,16 +312,17 @@ def test_incremental_extension_property(phi, a, b):
 
 def ambient_generators(alg, amb, ker):
     """The earlier generator rule, kept as the oracle: extend the radical by
-    the kernel basis, both in ambient coordinates."""
+    the kernel basis, both dense and in ambient coordinates."""
     gens = []
     for d in sorted(ker, reverse=True):
-        basis = ker[d][0]
+        basis = dense_kernel(ker[d])[0]
         up = ker.get(d + 1)
         if up is not None:
-            rad = np.hstack([amb.apply(i, d + 1, up[0]) for i in range(alg.nvars)])
+            rad = np.hstack([amb.apply(i, d + 1, dense_kernel(up)[0])
+                             for i in range(alg.nvars)])
         else:
             rad = gfp.zeros(basis.shape[0], 0)
-        for c in gfp.extend_column_basis(rad, basis, alg.p):
+        for c in dense_extend_column_basis(rad, basis, alg.p):
             gens.append((d, basis[:, c]))
     return gens
 
@@ -390,7 +391,8 @@ def test_cover_kernel_matches_monomial_action_rule_property(phi):
         want = monomial_action_kernel(amb, f, gens)
         assert sorted(got) == sorted(want)
         for d, (N, free) in want.items():
-            assert np.array_equal(got[d][0], N) and np.array_equal(got[d][1], free), d
+            got_N, got_free = dense_kernel(got[d])
+            assert np.array_equal(got_N, N) and np.array_equal(got_free, free), d
         checked.append(len(got))
         return got
 
@@ -403,18 +405,19 @@ def test_cover_kernel_matches_monomial_action_rule_property(phi):
 
 
 def test_generator_choice_eliminates_kernel_sized_stacks(monkeypatch):
-    """Each generator choice eliminates a stack of at most dim ker_d rows,
-    the number of candidate columns, never one of the ambient slice's."""
+    """Each generator choice eliminates vectors of length dim ker_d, the
+    number of candidate unit vectors, never of the ambient slice's: every
+    radical coordinate is below nk."""
     shapes = []
     extend = gfp.extend_column_basis
 
-    def recording(base, cand, p):
-        shapes.append((np.shape(base)[0], np.shape(cand)[1]))
-        return extend(base, cand, p)
+    def recording(vecs, coords, vals, nk, p):
+        shapes.append((int(np.max(coords, initial=-1)) + 1, nk, len(np.unique(vecs))))
+        return extend(vecs, coords, vals, nk, p)
 
     monkeypatch.setattr(gfp, "extend_column_basis", recording)
     alg = Algebra(2)
     minimal_free_resolution(residue_field(alg), 4)
     minimal_free_resolution(quotient_by(alg, [parse_element(alg, "e0*e1 + e2*e0")]), 4)
-    assert shapes
-    assert all(rows <= nk for rows, nk in shapes), shapes
+    assert shapes and any(count for _, _, count in shapes)
+    assert all(rows <= nk for rows, nk, _ in shapes), shapes

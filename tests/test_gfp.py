@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import dense_extend_column_basis
 from exttate import gfp
 
 PRIMES = [2, 3, 101, 32003]
@@ -106,9 +107,10 @@ def block_matrix(p, rng):
 @example(p=101, shape=(0, 9), density=1.0, blocks=False, seed=0)
 @example(p=101, shape=(9, 0), density=1.0, blocks=False, seed=0)
 def test_kernel_matches_naive_oracle(p, shape, density, blocks, seed):
-    """echelon, rref, rank, nullspace and extend_column_basis against
-    naive_rref: sparse to dense matrices up to about 60 x 60, with zero and
-    duplicate rows shuffled in, empty shapes, and block-diagonal matrices."""
+    """echelon, rref, rank, nullspace, extend_column_basis and the triplet
+    path `_insert_rows` against naive_rref: sparse to dense matrices up to
+    about 60 x 60, with zero and duplicate rows shuffled in, empty shapes,
+    and block-diagonal matrices."""
     rng = np.random.default_rng(seed)
     if blocks:
         A = block_matrix(p, rng)
@@ -130,8 +132,30 @@ def test_kernel_matches_naive_oracle(p, shape, density, blocks, seed):
     want[piv] = (-R[:len(piv)][:, free]) % p
     N, got_free = gfp.nullspace(A, p)
     assert got_free.tolist() == free and np.array_equal(N, want)
-    w = int(rng.integers(0, n + 1))
-    assert gfp.extend_column_basis(A[:, :w], A[:, w:], p) == [c - w for c in piv if c >= w]
+    # the triplet path: row labels spread apart, columns shuffled within rows
+    r, c = np.nonzero(A)
+    order = np.lexsort((rng.random(r.size), r))
+    r, c = r[order], c[order]
+    tails = gfp._insert_rows(3 * r + 1, c.tolist(), A[r, c].astype(np.int64).tolist(), p)
+    assert sorted(tails) == piv
+    exact = R.astype(np.int64)
+    for lead, tail in tails.items():
+        assert all(j > lead for j in tail)
+        row = np.zeros(n, dtype=np.int64)
+        row[lead] = 1
+        row[list(tail)] = list(tail.values())
+        assert np.array_equal(row, sum(row[j] * exact[k] % p for k, j in enumerate(piv)) % p)
+    # the rows as vectors: e_j extends them when j is no last nonzero of their span
+    last = {n - 1 - j for j in naive_rref(A[:, ::-1], p)[1]}
+    want_units = [j for j in range(n) if j not in last]
+    assert gfp.extend_column_basis(r, c, A[r, c].astype(np.int64), n, p) == want_units
+
+
+def row_triplets(A):
+    """The rows of A as the (vector, coordinate, value) arrays of
+    `gfp.extend_column_basis`."""
+    r, c = np.nonzero(A)
+    return r, c, A[r, c].astype(np.int64)
 
 
 @settings(max_examples=150, deadline=None)
@@ -150,7 +174,6 @@ def test_results_ignore_row_order_and_redundant_rows(data):
     extra = data.draw(st.lists(st.integers(-1, m - 1), max_size=4))  # -1: a zero row
     B = np.vstack([A] + [A[[i]] if i >= 0 else gfp.zeros(1, n) for i in extra])
     B = B[data.draw(st.permutations(range(B.shape[0])))]
-    w = data.draw(st.integers(0, n))
     R, piv = gfp.rref(A, p)
     for reduce in (gfp.rref, gfp.echelon):
         R2, piv2 = reduce(B, p)
@@ -159,16 +182,78 @@ def test_results_ignore_row_order_and_redundant_rows(data):
     assert gfp.rank(B, p) == len(piv)
     for got, want in zip(gfp.nullspace(B, p), gfp.nullspace(A, p)):
         assert np.array_equal(got, want)
-    assert (gfp.extend_column_basis(B[:, :w], B[:, w:], p)
-            == gfp.extend_column_basis(A[:, :w], A[:, w:], p))
+    assert gfp.extend_column_basis(*row_triplets(B), n, p) == gfp.extend_column_basis(
+        *row_triplets(A), n, p)
 
 
 def test_extend_column_basis_greedy():
     p = 101
-    base = np.array([[1.0], [0.0], [0.0]])
-    cand = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
-    # first candidate is in span(base); second adds rank; third is then dependent
-    assert gfp.extend_column_basis(base, cand, p) == [1]
+    # e0 + e1 spans e1 once e0 is taken; without 2*e2, e2 would extend too
+    assert gfp.extend_column_basis([0, 0], [0, 1], [1, 1], 3, p) == [0, 2]
+    assert gfp.extend_column_basis([0, 0, 5], [0, 1, 2], [1, 1, 2], 3, p) == [0]
+    # entries at one (vector, coordinate) add up: e0 + (50 + 51) e1 = e0
+    assert gfp.extend_column_basis([0, 0, 0], [0, 1, 1], [1, 50, 51], 3, p) == [1, 2]
+    assert gfp.extend_column_basis([], [], [], 2, p) == [0, 1]
+
+
+@st.composite
+def radical_stacks(draw):
+    """(p, nk, vectors as the columns of an nk x m matrix) for the generator
+    choice: random vectors, zero vectors, repeated vectors, all-singleton
+    stacks, and chains e_{j0}, e_{j1} + e_{j0}, e_{j2} + e_{j1}, ... that
+    the singleton step takes apart one vector per round."""
+    p = draw(st.sampled_from([2, 3, 101, 94906249]))
+    nk = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "singletons", "chain"]))
+    cols = []
+    if nk and kind == "singletons":
+        for _ in range(draw(st.integers(1, 14))):
+            v = gfp.zeros(nk, 1)
+            v[int(rng.integers(nk))] = int(rng.integers(1, p))
+            cols.append(v)
+    elif nk and kind == "chain":
+        order = rng.permutation(nk)[:draw(st.integers(1, nk))]
+        for k, j in enumerate(order):
+            v = gfp.zeros(nk, 1)
+            v[j] = int(rng.integers(1, p))
+            if k:
+                v[order[k - 1]] = int(rng.integers(1, p))
+            cols.append(v)
+    density = draw(st.sampled_from([0.1, 0.3, 0.7, 1.0]))
+    for _ in range(draw(st.integers(0, 6))):
+        cols.append(gfp.random_matrix(nk, 1, p, rng) * (rng.random((nk, 1)) < density))
+    cols += [gfp.zeros(nk, 1)] * draw(st.integers(0, 2))
+    if cols:
+        cols += [cols[int(k)] for k in rng.integers(0, len(cols), size=draw(st.integers(0, 3)))]
+        cols = [cols[int(k)] for k in rng.permutation(len(cols))]
+    return p, nk, np.hstack(cols) if cols else gfp.zeros(nk, 0), rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(radical_stacks())
+def test_extend_column_basis_matches_dense_greedy_property(case):
+    """The sparse generator choice picks the unit vectors that the dense
+    greedy rule picks from [radical | I], whatever the order of the
+    nonzeros, the labels of the vectors, and entries split into summands
+    (some adding up to zero) or left unreduced."""
+    p, nk, rad, rng = case
+    want = dense_extend_column_basis(rad, gfp.eye(nk), p)
+    c, t = np.nonzero(rad)
+    vecs, coords = 7 * t + 2, c
+    vals = rad[c, t].astype(np.int64)
+    part = np.where(rng.random(vals.size) < 0.3, rng.integers(0, p, size=vals.size), 0)
+    vecs, coords, vals = np.tile(vecs, 2), np.tile(coords, 2), np.concatenate([vals + part, -part])
+    if rad.shape[1] and nk:
+        extra = int(rng.integers(0, 4))
+        zv, zc = 7 * rng.integers(0, rad.shape[1], size=extra) + 2, rng.integers(0, nk, size=extra)
+        zx = rng.integers(1, p, size=extra)
+        vecs, coords = np.concatenate([vecs, zv, zv]), np.concatenate([coords, zc, zc])
+        vals = np.concatenate([vals, zx, p - zx])
+    vals = vals + p * rng.integers(0, 3, size=vals.size)
+    order = rng.permutation(vals.size)
+    got = gfp.extend_column_basis(vecs[order], coords[order], vals[order], nk, p)
+    assert got == want
 
 
 def test_matmul_chunking_exact():

@@ -301,3 +301,22 @@ def test_non_minimal_n0_point_fails_reconstruction(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert code == 0
     assert (rep["members"], rep["reconstructionFailures"]) == (2, 2)
+
+
+def test_fallback_trial_seeds_ker_phi_dual_once(monkeypatch):
+    """A (1; 1,1) trial at n=2 has a phi-dual that is not a minimal
+    presentation.  The cover of ker(phi-dual) on which that showed stays on
+    the point, and the Tate window that then fails reads it: ker(phi-dual)
+    is seeded once, and ker(phi) never."""
+    seeds = []
+    of_kernel = Resolver.of_kernel.__func__
+
+    def seeded(cls, phi):
+        seeds.append((phi.source.gen_degrees, phi.target.gen_degrees))
+        return of_kernel(cls, phi)
+
+    monkeypatch.setattr(Resolver, "of_kernel", classmethod(seeded))
+    rep = census(TypeVectors((1,), (1, 1)), 2, 1, (-3, 6), seed=0, p=101)
+    assert (rep["members"], rep["reconstructionFailures"]) == (1, 1)
+    # phi : E(0) -> E(1) + E(0), so phi-dual : E(-1) + E(0) -> E(0)
+    assert seeds == [((-1, 0), (0,))]
