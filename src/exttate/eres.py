@@ -11,7 +11,7 @@ Two independent engines compute graded Betti numbers:
   spliced onto the map's source) or the cokernel of a minimal
   presentation (`Resolver.of_presentation`); beta_{i,j} = number of
   generators of F_i in degree j.  A kernel is kept as the nonzeros of its
-  basis read off the rref (`_kernel_from_rref`): the pivot block, with the
+  basis read off the rref (`gfp.kernel_nonzeros`): the pivot block, with the
   identity on the free columns implied, never a dense n x (n - rank)
   array.  Generators are chosen in kernel coordinates, among dim ker_d
   unit vectors instead of dim F_d: each e_i maps ker_{d+1} into ker_d,
@@ -88,7 +88,7 @@ class BettiTable:
 
 
 def _cover_kernel(amb, f, gens):
-    """Per-degree kernels, in the form of `_kernel_from_rref`, of the map
+    """Per-degree kernels, in the form of `gfp.kernel_nonzeros`, of the map
     f -> amb sending the generators of the free module f to the vectors of
     `gens`, (degree, ambient vector) pairs in f's generator order.
 
@@ -97,7 +97,8 @@ def _cover_kernel(amb, f, gens):
     slice d+1, where e_i is the last factor of m = m' e_i, so the sign is +1
     and the largest i reaching gen * m in f._gather(i, d+1) is that factor.
     Its image is amb.apply(i, d+1, .) of the image of b.  The images of a
-    slice are eliminated by `gfp.rref`, and the kernel is read off it."""
+    slice are eliminated by `gfp.rref` inside `gfp.kernel_nonzeros`, which
+    reads the kernel off the rref."""
     ker = {}
     lo, hi = f.degree_range()
     above = None
@@ -120,46 +121,14 @@ def _cover_kernel(amb, f, gens):
         for cols, block in parts:
             above[:, cols] = block
         del parts  # free the blocks before the elimination
-        if above.shape[0]:
-            kernel = _kernel_from_rref(*gfp.rref(above, f.alg.p), f.alg.p)
-        else:
-            kernel = _identity_kernel(n)
+        kernel = gfp.kernel_nonzeros(above, f.alg.p)
         if len(kernel[1]):
             ker[d] = kernel
     return ker
 
 
-def _kernel_from_rref(R, piv, p):
-    """The right kernel of a matrix, read off its rref R with pivot columns
-    piv, as its nonzeros: (n, free, vec, coord, val).
-
-    Kernel vector k, for k < len(free), has 1 at its free column free[k]
-    and p - R[r, free[k]] at the pivot column piv[r] of each row r: the
-    pivot block, with no identity block stored.  Its nonzeros are val at
-    coord where vec == k, sorted by vec; n is the length of the vectors.
-    This is the basis of `gfp.nullspace`: vector k is column k of its N.
-    """
-    n = R.shape[1]
-    is_free = np.ones(n, dtype=bool)
-    is_free[piv] = False
-    free = np.flatnonzero(is_free)
-    rr, cc = np.nonzero(R[:len(piv)])
-    rr, cc = rr[is_free[cc]], cc[is_free[cc]]
-    vec = np.concatenate([np.arange(len(free)), np.cumsum(is_free)[cc] - 1])
-    coord = np.concatenate([free, np.asarray(piv, dtype=np.intp)[rr]])
-    val = np.concatenate([np.ones(len(free), dtype=np.int64), p - R[rr, cc].astype(np.int64)])
-    order = np.argsort(vec, kind="stable")
-    return n, free, vec[order], coord[order], val[order]
-
-
-def _identity_kernel(n):
-    """The whole space k^n in the form of `_kernel_from_rref`."""
-    idx = np.arange(n)
-    return n, idx, idx, idx, np.ones(n, dtype=np.int64)
-
-
 def _radical(amb, d, up, free, n):
-    """The e_i images of the kernel `up` of degree d (`_kernel_from_rref`
+    """The e_i images of the kernel `up` of degree d (`gfp.kernel_nonzeros`
     form), in the coordinates `free` of the kernel of degree d-1, whose
     vectors have length n: (vector, coordinate, value) arrays, where image
     i of kernel vector k is vector i * len(up free) + k.
@@ -191,7 +160,7 @@ def _kernel_generators(alg, amb, ker):
     """Minimal generators of a graded submodule K of `amb`.
 
     `ker` maps each degree d to the nonzeros of a basis of K_d in ambient
-    coordinates (`_kernel_from_rref`): basis vector k has 1 at free[k] and
+    coordinates (`gfp.kernel_nonzeros`): basis vector k has 1 at free[k] and
     0 at the other free coordinates.  In each degree (top down) the basis
     vectors extending the radical, the span of the e_i images of K_{d+1},
     are the generators; each is returned as (degree, ambient vector), a
@@ -259,8 +228,8 @@ class Resolver:
     VectorizedModule, so step 0 is its minimal cover.
     `Resolver.of_kernel(phi)` starts from frees = [source of phi] and the
     kernel of phi's generator vectors, so its steps resolve ker(phi).
-    `Resolver.of_presentation(phi)` takes the same steps behind
-    frees = [target, source], so it resolves coker(phi) when phi is a
+    `Resolver.of_presentation(phi, res)` puts the target in front of the
+    frees of such a resolver, so it resolves coker(phi) when phi is a
     minimal presentation.
     Choices run through the deterministic pivoting in gfp, so reruns
     reproduce the same vectors.  A step builds the kernel it covers on
@@ -270,8 +239,9 @@ class Resolver:
     def __init__(self, module):
         if module.is_zero:
             raise DomainError("cannot resolve the zero module")
-        self._start([], module,
-                    lambda: {d: _identity_kernel(n) for d, n in module.dims.items()})
+        # the whole of each slice: the kernel of no equations
+        self._start([], module, lambda: {d: gfp.kernel_nonzeros(gfp.zeros(0, n), module.alg.p)
+                                         for d, n in module.dims.items()})
 
     @classmethod
     def of_kernel(cls, phi):
@@ -281,23 +251,21 @@ class Resolver:
                    lambda: _cover_kernel(phi.target, phi.source, _generator_vectors(phi)))
         return res
 
-    @classmethod
-    def of_presentation(cls, phi, kernel=None):
+    @staticmethod
+    def of_presentation(phi, res):
         """Minimal resolution of coker(phi) built on phi itself, or None if
         phi is not a minimal presentation of its cokernel.
 
-        F_0 = target(phi) and F_1 = source(phi) when no entry of phi is a
-        unit (the target generators are minimal) and the first cover of
-        ker(phi) has no unit (no source generator is a combination of the
-        others); that cover is taken here.  F_{k+2} is the module of step k
-        (from 0) of of_kernel(phi): `steps` are exactly its steps.
-        `kernel`, if given, is a fresh `Resolver.of_kernel(phi)` that the
-        caller keeps: the first cover is taken on it, and it is the
-        resolver returned when phi is a minimal presentation.
+        `res` is a `Resolver.of_kernel(phi)` with no steps taken, which the
+        caller keeps.  F_0 = target(phi) and F_1 = source(phi) when no entry
+        of phi is a unit (the target generators are minimal) and the first
+        cover of ker(phi) has no unit (no source generator is a combination
+        of the others); that cover is taken on `res`.  When phi is a minimal
+        presentation, `res` is returned with F_0 put in front: F_{k+2} is
+        the module of its step k (from 0), and `steps` resolve ker(phi).
         """
         if not phi.is_minimal():
             return None
-        res = kernel if kernel is not None else cls.of_kernel(phi)
         res.step()
         if res.steps and _has_unit(*res.steps[0]):
             return None

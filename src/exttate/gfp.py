@@ -26,11 +26,12 @@ sides at least 32 ended more than 13.6% dense.
 
 Callers read only canonical results, which do not depend on how the
 elimination ran: `rank`; the reduced row echelon form from `rref` and
-`echelon`, which is unique; `nullspace`, built from that form; the pivot
-columns from `echelon`, the lexicographically first column basis; and
-the unit vectors from `extend_column_basis`.  All of them are determined
-by the row space, so the order in which rows are inserted and the choice
-of pivot row are free; both are chosen to keep fill-in down.  In
+`echelon`, which is unique; the kernel basis of `kernel_nonzeros`, built
+from that form, and its dense form `nullspace`; the pivot columns from
+`echelon`, the lexicographically first column basis; and the unit
+vectors from `extend_column_basis`.  All of them are determined by the
+row space, so the order in which rows are inserted and the choice of
+pivot row are free; both are chosen to keep fill-in down.  In
 alternating runs of
 `census --b 1 --bprime 2 -n 7 --trials 2 --seed 0 --window -3..6`
 (one thread, 2-core VM) this kernel took 2.60 / 2.55 s, against
@@ -98,8 +99,7 @@ def _mod(a, p):
     must stay exactly representable: below the range a product rounds (at
     p = 94,906,249, -(2^53 - 1) reduces to 71321477, not 71321476).  Every
     caller stays inside it: matmul reduces non-negative sums below 2^53;
-    `nullspace` negates residues; `as_gf` reduces caller data, which must
-    lie in the same range.
+    `as_gf` reduces caller data, which must lie in the same range.
     """
     a = np.asarray(a, dtype=np.float64)
     q = np.floor(a * (1.0 / p))
@@ -252,25 +252,46 @@ def rank(a, p):
     return len(echelon(a, p)[1])
 
 
-def nullspace(a, p):
-    """Basis N of the right kernel as columns, and its free columns.
+def kernel_nonzeros(a, p):
+    """A basis of the right kernel of a, as its nonzeros:
+    (n, free, vec, coord, val).
 
-    Returns (N, free): `free` are the non-pivot columns of the rref, in
-    increasing order, and N[free] is the identity, so a kernel vector v has
-    the coordinates v[free] over N.  Deterministic from the rref.
+    `free` are the non-pivot columns of the rref R of a, in increasing
+    order.  Kernel vector k, for k < len(free), has 1 at its free column
+    free[k], p - R[r, free[k]] at the pivot column piv[r] of each row r,
+    and 0 elsewhere: the pivot block, with the identity on `free` implied,
+    so a kernel vector v has the coordinates v[free] over the basis.  Its
+    nonzeros are val at coord where vec == k, sorted by vec; n is the
+    length of the vectors.  A matrix with no rows has the unit vectors as
+    its basis.  Deterministic from the rref.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     m, n = a.shape
     if m == 0:
-        return eye(n), np.arange(n)
+        idx = np.arange(n)
+        return n, idx, idx, idx, np.ones(n, dtype=np.int64)
     R, piv = rref(a, p)
-    pivset = set(piv)
-    free = np.array([c for c in range(n) if c not in pivset], dtype=np.intp)
+    is_free = np.ones(n, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
+    rr, cc = np.nonzero(R[:len(piv)])
+    rr, cc = rr[is_free[cc]], cc[is_free[cc]]
+    vec = np.concatenate([np.arange(len(free)), np.cumsum(is_free)[cc] - 1])
+    coord = np.concatenate([free, np.asarray(piv, dtype=np.intp)[rr]])
+    val = np.concatenate([np.ones(len(free), dtype=np.int64), p - R[rr, cc].astype(np.int64)])
+    order = np.argsort(vec, kind="stable")
+    return n, free, vec[order], coord[order], val[order]
+
+
+def nullspace(a, p):
+    """Basis N of the right kernel as columns, and its free columns.
+
+    Returns (N, free), the basis of `kernel_nonzeros` written densely:
+    column k of N is kernel vector k, so N[free] is the identity.
+    """
+    n, free, vec, coord, val = kernel_nonzeros(a, p)
     N = zeros(n, len(free))
-    if len(free):
-        N[free, np.arange(len(free))] = 1.0
-        if piv:
-            N[np.array(piv, dtype=np.intp), :] = _mod(-R[:len(piv)][:, free], p)
+    N[coord, vec] = val
     return N, free
 
 

@@ -98,30 +98,34 @@ class MatrixPoint:
         self.n = phi.alg.n
         self._coker_dual = None
         self._resolver = None
-        self.kernel_resolver = None  # Resolver.of_kernel(phi-dual); set by resolver()
+        self._kernel_resolver = None
 
     def coker_dual(self):
         if self._coker_dual is None:
             self._coker_dual = vectorize_coker(self.phi.dual())
         return self._coker_dual
 
+    def kernel_resolver(self):
+        """The resolver of ker(phi-dual), `Resolver.of_kernel(phi-dual)`,
+        built once per point and extended by whoever reads it."""
+        if self._kernel_resolver is None:
+            self._kernel_resolver = Resolver.of_kernel(self.phi.dual())
+        return self._kernel_resolver
+
     def resolver(self):
         """Minimal free resolution of coker(phi-dual), built once per point.
 
         When phi-dual is a minimal presentation it is
-        `Resolver.of_presentation(phi-dual)`, whose steps resolve
-        ker(phi-dual) and so also give the right half of the Tate window.
-        Otherwise it resolves the vectorized cokernel, `Resolver(coker_dual())`.
-        Either way `kernel_resolver` is the `Resolver.of_kernel(phi-dual)`
-        that the presentation was tried on, its first cover taken when phi
-        has no unit: in the first case it is the resolver itself, and in
-        the second the Tate window reads it instead of resolving
-        ker(phi-dual) again.
+        `Resolver.of_presentation(phi-dual, kernel_resolver())`, whose steps
+        resolve ker(phi-dual) and so also give the right half of the Tate
+        window.  Otherwise it resolves the vectorized cokernel,
+        `Resolver(coker_dual())`, and `kernel_resolver()` keeps the first
+        cover of ker(phi-dual) that the presentation was tried on, for the
+        Tate window to read instead of resolving ker(phi-dual) again.
         """
         if self._resolver is None:
             phid = self.phi.dual()
-            self.kernel_resolver = Resolver.of_kernel(phid)
-            res = Resolver.of_presentation(phid, self.kernel_resolver)
+            res = Resolver.of_presentation(phid, self.kernel_resolver())
             if res is None:
                 m = self.coker_dual()
                 if m.is_zero:
@@ -184,10 +188,9 @@ def reconstruct(point, lo, hi):
     extracted columns 0 and 1 disagree with (b, b') -- that would be an
     internal inconsistency, never returned silently.  The right half of
     the window reads the point's resolution of ker(phi-dual),
-    `point.kernel_resolver`.
+    `point.kernel_resolver()`.
     """
-    point.resolver()
-    win = tate_from_point(point.phi, lo, hi, point.kernel_resolver)
+    win = tate_from_point(point.phi, lo, hi, point.kernel_resolver())
     table = cohomology_table(win)
     b = list(point.tvec.b)
     bp = list(point.tvec.bprime)

@@ -61,6 +61,11 @@ def test_nullspace_basis(data):
     assert np.array_equal(N[free], gfp.eye(len(free)))
     if N.shape[1]:
         assert not gfp.matmul(A, N, p).any()
+    # nullspace is kernel_nonzeros written densely; readers slice its
+    # nonzeros by vector, so they come sorted by vec with no zero value
+    length, nz_free, vec, coord, val = gfp.kernel_nonzeros(A, p)
+    assert length == n and np.array_equal(nz_free, free)
+    assert np.all(np.diff(vec) >= 0) and np.all((val > 0) & (val < p))
 
 
 def test_rref_of_low_rank_product():
