@@ -17,17 +17,14 @@ projection is N.T and the coordinates `free` are its basis
 Resolver's kernel slices are the same basis kept as nonzeros (see `eres`).
 
 FreeEModule and VectorizedModule both expose the e_i action as
-`action(i, d)`, its nonzeros as `action_nonzeros(i, d)` and its product
-with slice vectors as `apply(i, d, x)`.  The resolution engine (`eres`)
-acts on either one through `apply` and `action_nonzeros` alone.  On a
-free module both read the gather of e_i, since e_i sends each basis
-vector to 0 or to plus or minus one basis vector; a gather serves
-`apply` on the images a cover builds, the radical's nonzeros in the
-generator choice, and the source side of the next cover.  Gathers are
-cached per module, as a resolution asks for each (i, d) up to three
-times.  Whole action matrices are read by `vectorize_coker`
-(FreeEModule.action) and by the Cartan oracle and `cone_extend` in `eres`
-(VectorizedModule.action).
+`action(i, d)` and its nonzeros, sorted by column, as
+`action_nonzeros(i, d)`.  The resolution engine (`eres`) acts on either
+one through `action_nonzeros` alone.  On a free module they are the
+gather of e_i, cached per module: a resolution reads each (i, d) for the
+images a cover builds, the radical in the generator choice and the
+source side of the next cover.  Whole action matrices are read by
+`vectorize_coker` (FreeEModule.action) and by the Cartan oracle and
+`cone_extend` in `eres` (VectorizedModule.action).
 
 The `.emat` matrix format shares its parser skeleton, `parse_matrix_file`,
 with the `.smod` format of the S-side.
@@ -79,47 +76,28 @@ class FreeEModule:
             self._offsets[d] = tuple(offs)
         return self._offsets[d]
 
-    def _gather(self, i, d):
-        """Right multiplication by e_i from slice d to slice d-1, as the
-        target rows it reaches, the source coordinate of each and its sign.
-
-        A basis monomial times e_i is 0 or plus or minus one basis monomial,
-        so the matrix of the action has at most one nonzero per row.  It is
-        built once per distinct generator degree g: the nonzeros of e_i on
-        E_{d-g} are read once and placed at the block offsets of every
-        generator of degree g by broadcasting.  The triplets come grouped
-        by degree, not in row order; every caller indexes by row.
-        """
-        if (i, d) not in self._gathers:
-            ro = np.array(self.offsets(d - 1), dtype=np.intp)
-            co = np.array(self.offsets(d), dtype=np.intp)
-            degs = np.array(self.gen_degrees, dtype=np.intp)
-            parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
-            for g in sorted(set(self.gen_degrees)):
-                b = self.alg.right_mul_matrix(i, d - g)
-                rr, cc = np.nonzero(b)
-                gens = np.flatnonzero(degs == g)
-                parts.append(((ro[gens, None] + rr).ravel(), (co[gens, None] + cc).ravel(),
-                              np.tile(b[rr, cc], len(gens))))
-            self._gathers[i, d] = tuple(np.concatenate(v) for v in zip(*parts))
-        return self._gathers[i, d]
-
     def action_nonzeros(self, i, d):
-        """The nonzeros of action(i, d) as (rows, cols, values): the gather."""
-        return self._gather(i, d)
+        """The nonzeros of action(i, d) as (rows, cols, values), sorted by
+        column: the gather of e_i.  A basis monomial times e_i is 0 or plus
+        or minus one basis monomial, so each row and column holds at most
+        one.  The column-sorted nonzeros of e_i on E_{d-g} are placed at the
+        block offsets of each generator of degree g, in generator order."""
+        if (i, d) not in self._gathers:
+            nz = {g: self.alg.right_mul_nonzeros(i, d - g) for g in set(self.gen_degrees)}
+            blocks = [nz[g] for g in self.gen_degrees]
+            parts = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)] + blocks
+            rows, cols, signs = (np.concatenate(v) for v in zip(*parts))
+            sizes = [len(b[0]) for b in blocks]
+            rows += np.repeat(np.array(self.offsets(d - 1), dtype=np.intp), sizes)
+            cols += np.repeat(np.array(self.offsets(d), dtype=np.intp), sizes)
+            self._gathers[i, d] = rows, cols, signs
+        return self._gathers[i, d]
 
     def action(self, i, d):
         """Matrix of right multiplication by e_i from slice d to slice d-1."""
-        rows, cols, signs = self._gather(i, d)
+        rows, cols, signs = self.action_nonzeros(i, d)
         out = gfp.zeros(self.slice_dim(d - 1), self.slice_dim(d))
         out[rows, cols] = signs
-        return out
-
-    def apply(self, i, d, x):
-        """action(i, d) @ x mod p for slice-d columns x, as a signed gather."""
-        rows, cols, signs = self._gather(i, d)
-        out = gfp.zeros(self.slice_dim(d - 1), x.shape[1])
-        out[rows] = gfp.as_gf(x[cols] * signs[:, None], self.alg.p)
         return out
 
     def element_from_vector(self, d, vec):
@@ -270,14 +248,11 @@ class VectorizedModule:
         return gfp.zeros(self.dim(d - 1), self.dim(d))
 
     def action_nonzeros(self, i, d):
-        """The nonzeros of action(i, d) as (rows, cols, values)."""
+        """The nonzeros of action(i, d) as (rows, cols, values), sorted by
+        column."""
         mat = self.action(i, d)
-        rows, cols = np.nonzero(mat)
+        cols, rows = np.nonzero(mat.T)
         return rows, cols, mat[rows, cols]
-
-    def apply(self, i, d, x):
-        """action(i, d) @ x mod p for slice-d columns x."""
-        return gfp.matmul(self.action(i, d), x, self.alg.p)
 
     def check(self):
         """Verify the action maps anticommute and square to zero."""

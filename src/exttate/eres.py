@@ -5,19 +5,21 @@ Two independent engines compute graded Betti numbers:
 * the resolution engine `Resolver`.  Its one step covers a submodule of
   an ambient module by minimal generators, kept as (ambient, generator
   vectors), and the next step covers the kernel of that cover, built
-  slice by slice through `apply` and `gfp.rref`.  It resolves a
+  slice by slice from the nonzeros of the action (`_cover_kernel`) on
+  either kind of ambient.  It resolves a
   VectorizedModule (step 0 covers the module itself), the kernel of a
   GradedMap (`resolve_kernel_steps`, which turns the steps into maps
   spliced onto the map's source) or the cokernel of a minimal
   presentation (`Resolver.of_presentation`); beta_{i,j} = number of
-  generators of F_i in degree j.  A kernel is kept as the nonzeros of its
-  basis read off the rref (`gfp.kernel_nonzeros`): the pivot block, with the
-  identity on the free columns implied, never a dense n x (n - rank)
-  array.  Generators are chosen in kernel coordinates, among dim ker_d
-  unit vectors instead of dim F_d: each e_i maps ker_{d+1} into ker_d,
-  greedy choices do not change under an injective linear map, and the
-  nonzeros of the radical come straight from those of ker_{d+1} through
-  the nonzeros of the action (see `_kernel_generators`);
+  generators of F_i in degree j.  No step builds a dense image, kernel
+  basis or radical: a kernel is kept as the nonzeros of its basis
+  (`gfp.triplet_kernel`), the pivot block with the identity on the free
+  columns implied.  Generators are
+  chosen in kernel coordinates, among dim ker_d unit vectors instead of
+  dim F_d: each e_i maps ker_{d+1} into ker_d, greedy choices do not
+  change under an injective linear map, and the nonzeros of the radical
+  come straight from those of ker_{d+1} through the nonzeros of the
+  action (see `_kernel_generators`);
 * the Koszul-type oracle `CartanScanner`: the dimension of the middle
   homology of  G_{i+1} (x) M_{j+i+1} -> G_i (x) M_{j+i} -> G_{i-1} (x) M_{j+i-1}
   where G_i is the i-th divided power of the variable space (dimensions
@@ -87,18 +89,34 @@ class BettiTable:
                          for row in grid)
 
 
+def _act(amb, i, d, vec, coord, val):
+    """The nonzeros (vector, row, value) in slice d-1 of the e_i images of
+    the vectors of slice d of amb with val[t] at coord[t] in vector vec[t]:
+    a nonzero at coordinate s meets each nonzero in column s of amb's
+    action (at most one on a free module), so (vector, row) pairs repeat."""
+    rows, cols, vals = amb.action_nonzeros(i, d)
+    lo = np.searchsorted(cols, coord)
+    cnt = np.searchsorted(cols, coord, side="right") - lo
+    at = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+    return (np.repeat(vec, cnt), rows[at],
+            np.repeat(val, cnt) * vals[at].astype(np.int64) % amb.alg.p)
+
+
 def _cover_kernel(amb, f, gens):
     """Per-degree kernels, in the form of `gfp.kernel_nonzeros`, of the map
     f -> amb sending the generators of the free module f to the vectors of
     `gens`, (degree, ambient vector) pairs in f's generator order.
 
-    Images are built top down.  Below its generator's degree, a basis vector
-    gen * m of slice d of f is b * e_i for the basis vector b = gen * m' of
-    slice d+1, where e_i is the last factor of m = m' e_i, so the sign is +1
-    and the largest i reaching gen * m in f._gather(i, d+1) is that factor.
-    Its image is amb.apply(i, d+1, .) of the image of b.  The images of a
-    slice are eliminated by `gfp.rref` inside `gfp.kernel_nonzeros`, which
-    reads the kernel off the rref."""
+    The image of a slice, `above`, is kept as (f column, ambient row,
+    value) arrays and built top down.  Below its generator's degree, a
+    basis vector gen * m of slice d of f is b * e_i for the basis vector
+    b = gen * m' of slice d+1, where e_i is the last factor of m = m' e_i,
+    so the sign is +1 and the largest i reaching gen * m in the gather
+    f.action_nonzeros(i, d+1) is that factor; its image is the `_act`
+    image of b's.  Entries meeting at one (row, column), as the action of
+    a VectorizedModule makes them, are summed before `gfp.triplet_kernel`.
+    """
+    p = amb.alg.p
     ker = {}
     lo, hi = f.degree_range()
     above = None
@@ -107,53 +125,33 @@ def _cover_kernel(amb, f, gens):
         if n == 0:
             above = None
             continue
-        parts = [([f.offsets(d)[c]], v[:, None]) for c, (g, v) in enumerate(gens) if g == d]
+        parts = []
+        for c, (g, v) in enumerate(gens):
+            if g == d:
+                r = np.flatnonzero(v)
+                parts.append((np.full(r.size, f.offsets(d)[c]), r, v[r].astype(np.int64)))
         if above is not None:
+            col, row, val = above
             done = np.zeros(n, dtype=bool)
+            to = np.empty(f.slice_dim(d + 1), dtype=np.intp)
             for i in reversed(range(f.alg.nvars)):
-                rows, cols, _ = f._gather(i, d + 1)
-                fresh = ~done[rows]
-                rows, cols = rows[fresh], cols[fresh]
-                if rows.size:
-                    done[rows] = True
-                    parts.append((rows, amb.apply(i, d + 1, above[:, cols])))
-        above = gfp.zeros(parts[0][1].shape[0], n)
-        for cols, block in parts:
-            above[:, cols] = block
-        del parts  # free the blocks before the elimination
-        kernel = gfp.kernel_nonzeros(above, f.alg.p)
+                tgt, src, _ = f.action_nonzeros(i, d + 1)
+                fresh = ~done[tgt]
+                if fresh.any():
+                    done[tgt] = True
+                    to.fill(-1)
+                    to[src[fresh]] = tgt[fresh]
+                    t = to[col]
+                    keep = t >= 0
+                    parts.append(_act(amb, i, d + 1, t[keep], row[keep], val[keep]))
+        col, row, val = (np.concatenate(x) for x in zip(*parts))
+        key, val = gfp.sum_nonzeros(row * n + col, val, p)
+        row, col = np.divmod(key, n)
+        above = col, row, val
+        kernel = gfp.triplet_kernel(row, col, val, n, p)
         if len(kernel[1]):
             ker[d] = kernel
     return ker
-
-
-def _radical(amb, d, up, free, n):
-    """The e_i images of the kernel `up` of degree d (`gfp.kernel_nonzeros`
-    form), in the coordinates `free` of the kernel of degree d-1, whose
-    vectors have length n: (vector, coordinate, value) arrays, where image
-    i of kernel vector k is vector i * len(up free) + k.
-
-    A kernel nonzero at coordinate s meets every nonzero of amb's action
-    in column s; on a free module there is at most one.  Targets outside
-    `free` are dropped: they are determined by the others.
-    """
-    p = amb.alg.p
-    _, up_free, vec, coord, val = up
-    pos = np.full(n, -1)
-    pos[free] = np.arange(len(free))
-    parts = []
-    for i in range(amb.alg.nvars):
-        rows, cols, vals = amb.action_nonzeros(i, d)
-        by_col = np.argsort(cols, kind="stable")
-        rows, cols, vals = rows[by_col], cols[by_col], vals[by_col]
-        lo = np.searchsorted(cols, coord)
-        cnt = np.searchsorted(cols, coord, side="right") - lo
-        at = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
-        j = pos[rows[at]]
-        keep = j >= 0
-        parts.append((np.repeat(vec + i * len(up_free), cnt)[keep], j[keep],
-                      (np.repeat(val, cnt) * vals[at].astype(np.int64))[keep] % p))
-    return [np.concatenate(v) for v in zip(*parts)]
 
 
 def _kernel_generators(alg, amb, ker):
@@ -174,8 +172,10 @@ def _kernel_generators(alg, amb, ker):
     preserves.  So extending the radical's v[free] by the unit vectors
     (`gfp.extend_column_basis`) picks the same basis vectors as extending
     the radical by the basis in ambient coordinates.  The radical's
-    nonzeros come from those of K_{d+1} through the action's
-    (`_radical`), and no dense basis or radical is built.
+    nonzeros come from those of K_{d+1} through the action's (`_act`):
+    image i of basis vector k of K_{d+1} is vector i * dim K_{d+1} + k,
+    and its coordinates outside `free` are dropped, as the others
+    determine them.  No dense basis or radical is built.
     """
     gens = []
     for d in sorted(ker, reverse=True):
@@ -184,7 +184,14 @@ def _kernel_generators(alg, amb, ker):
         if up is None:
             chosen = range(len(free))
         else:
-            chosen = gfp.extend_column_basis(*_radical(amb, d + 1, up, free, n),
+            pos = np.full(n, -1)
+            pos[free] = np.arange(len(free))
+            _, up_free, up_vec, up_coord, up_val = up
+            images = (_act(amb, i, d + 1, up_vec + i * len(up_free), up_coord, up_val)
+                      for i in range(alg.nvars))
+            vecs, rows, vals = (np.concatenate(x) for x in zip(*images))
+            keep = pos[rows] >= 0
+            chosen = gfp.extend_column_basis(vecs[keep], pos[rows[keep]], vals[keep],
                                              len(free), alg.p)
         for c in chosen:
             lo, hi = np.searchsorted(vec, [c, c + 1])
@@ -205,9 +212,11 @@ def _generator_vectors(phi):
 
 def _has_unit(amb, gens):
     """True iff some generator vector has a nonzero E_0 coordinate on a
-    same-degree generator of `amb`, i.e. its map into amb has a unit entry."""
-    return any(v[amb.offsets(g)[r]] for g, v in gens
-               for r, h in enumerate(amb.gen_degrees) if h == g)
+    same-degree generator of `amb`, i.e. its map into amb has a unit entry;
+    each vector is indexed once, at the offsets of those generators."""
+    units = {h: [amb.offsets(h)[r] for r, g in enumerate(amb.gen_degrees) if g == h]
+             for h in set(amb.gen_degrees)}
+    return any(v[units[g]].any() for g, v in gens if g in units)
 
 
 def _map_from_ambient_vectors(amb, gens):
@@ -223,9 +232,9 @@ class Resolver:
     Every step is the same: it picks minimal generators of a submodule of
     its ambient module (`_kernel_generators`) and is kept as the pair
     (ambient, generator vectors).  The next step covers the kernel of the
-    free module on those generators -> ambient, built through `apply`
-    (`_cover_kernel`).  `Resolver(module)` starts from the whole
-    VectorizedModule, so step 0 is its minimal cover.
+    free module on those generators -> ambient, built from the nonzeros of
+    the ambient's action (`_cover_kernel`).  `Resolver(module)` starts
+    from the whole VectorizedModule, so step 0 is its minimal cover.
     `Resolver.of_kernel(phi)` starts from frees = [source of phi] and the
     kernel of phi's generator vectors, so its steps resolve ker(phi).
     `Resolver.of_presentation(phi, res)` puts the target in front of the

@@ -76,6 +76,14 @@ class Algebra:
         return mat
 
     @functools.cache
+    def right_mul_nonzeros(self, i, d):
+        """The nonzeros of right_mul_matrix(i, d) as (rows, cols, values),
+        sorted by column."""
+        mat = self.right_mul_matrix(i, d)
+        cols, rows = np.nonzero(mat.T)
+        return rows, cols, mat[rows, cols]
+
+    @functools.cache
     def left_mul_matrix(self, mask, d):
         """Matrix of x -> m*x (m the monomial `mask`) from E_d to E_{d-deg}."""
         k = bin(mask).count("1")

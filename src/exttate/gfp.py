@@ -10,43 +10,41 @@ bound; the largest accepted prime is 94,906,249.
 Elimination is Gauss-Jordan on sparse rows: the lever of structured
 Gaussian elimination (Faugere-Lachartre, PASCO 2010), taken to single
 rows.  There is one elimination kernel, `_insert_rows`, fed (row,
-column, value) triplets: `echelon` reads the nonzeros of A once, and
-`extend_column_basis` passes on the nonzeros it is given.  Each row
-becomes a dict {column: residue} of Python ints, so every step is exact
-for every prime and does not rest on the float64 bound.  An entry that
-reduces to 0 is dropped.  Rows are inserted fewest nonzeros first and
-reduced at their leading column until they are zero or lead in a new
-pivot column; for `echelon`, one back-substitution then gives the
-reduced form, which is written back into A as float64.  The package's
-slice matrices stay sparse through this: over the eliminations of a
-(1; 2) census at n=7, the cohomology of the twisted cubic and the
-elliptic quartic, two (1,1; 1,1) and (1; 2) censuses at n=4,
-`mccullough --ell 2` and ell=3 `betti --direct --imax 4`, none with both
-sides at least 32 ended more than 13.6% dense.
+column, value) triplets.  Each row becomes a dict {column: residue} of
+Python ints, so every step is exact for every prime and does not rest on
+the float64 bound; an entry that reduces to 0 is dropped.  Rows are
+inserted fewest nonzeros first and reduced at their leading column until
+they are zero or lead in a new pivot column.  One back-substitution,
+`_reduce`, gives the reduced form.  `echelon` writes it back into A;
+`triplet_kernel` reads a kernel basis off it, for triplet input (the
+Resolver's slice images) and for dense input through `kernel_nonzeros`
+alike.  Slice matrices stay sparse through this: the largest image of
+ell=3 `betti --direct --imax 6` has 7,875 columns and 16,020 nonzeros
+(0.05%), and over the eliminations of a (1; 2) census at n=7, the
+cohomology of the twisted cubic and the elliptic quartic, two (1,1; 1,1)
+and (1; 2) censuses at n=4, `mccullough --ell 2` and ell=3 `betti
+--direct --imax 4`, none with both sides at least 32 ended more than
+13.6% dense.
 
 Callers read only canonical results, which do not depend on how the
 elimination ran: `rank`; the reduced row echelon form from `rref` and
-`echelon`, which is unique; the kernel basis of `kernel_nonzeros`, built
-from that form, and its dense form `nullspace`; the pivot columns from
-`echelon`, the lexicographically first column basis; and the unit
-vectors from `extend_column_basis`.  All of them are determined by the
-row space, so the order in which rows are inserted and the choice of
-pivot row are free; both are chosen to keep fill-in down.  In
-alternating runs of
-`census --b 1 --bprime 2 -n 7 --trials 2 --seed 0 --window -3..6`
-(one thread, 2-core VM) this kernel took 2.60 / 2.55 s, against
-2.82 / 3.08 s when a sparser row does not displace the pivot row it
-meets, 3.75 / 4.36 s inserting rows in their given order, and
-4.73 / 4.84 s with the earlier float64 kernel, which took one pivot
-column at a time over dense rows with about ten numpy calls per pivot.
-No size of matrix favours that kernel: on the eliminations above it was
-2-5x slower in every bucket of the larger side (below 16, 16-63, 64-511,
-512 and more); the 68 of the twisted cubic with a larger side of 16-63
-took 0.040 s there and 0.009 s here.  Dense input pays for the rows being
-dicts: at p = 32003 a random dense 100 x 100 matrix takes 0.08-0.11 s
-(0.014 s with the float64 kernel), 400 x 400 takes 6.4-7.0 s (0.73 s),
-and a 1000 x 1000 matrix at 1% density fills in and takes 18-20 s
-(2.2 s).  No command of the package makes such a matrix.
+`echelon`, which is unique; the kernel basis of `triplet_kernel`, built
+from that form, with its dense front end `kernel_nonzeros` and dense
+form `nullspace`; the pivot columns from `echelon`, the lexicographically
+first column basis; and the unit vectors from `extend_column_basis`.
+All of them are determined by the row space, so the order in which rows
+are inserted and the choice of pivot row are free; both are chosen to
+keep fill-in down.  In alternating runs of `census --b 1 --bprime 2 -n 7
+--trials 2 --seed 0 --window -3..6` (one thread, 2-core VM) this kernel
+took 2.60 / 2.55 s, against 2.82 / 3.08 s when a sparser row does not
+displace the pivot row it meets, 3.75 / 4.36 s inserting rows in their
+given order, and 4.73 / 4.84 s with the earlier float64 kernel, which
+took one pivot column at a time over dense rows.  That kernel was 2-5x
+slower on every size of matrix the package makes.  Dense input pays for
+the rows being dicts: at p = 32003 a random dense 400 x 400 matrix takes
+6.4-7.0 s (0.73 s with the float64 kernel), and a 1000 x 1000 matrix at
+1% density fills in and takes 18-20 s (2.2 s).  No command of the
+package makes such a matrix.
 
 `extend_column_basis` is the generator choice of a resolution step.  It
 takes the nonzeros of some vectors of length nk, spanning S, and returns
@@ -145,33 +143,26 @@ def matmul(a, b, p):
     return _mod(out, p)
 
 
-def _eliminate(A, p):
-    """Gauss-Jordan elimination of A in place; returns the pivot columns.
-
-    Afterwards A is in reduced row echelon form, its pivot rows first and
-    zero rows after.  The nonzeros of A go through `_insert_rows`; one
-    back-substitution over the pivot columns, right to left, then clears
-    the entries above the pivots.
-    """
-    r, c = np.nonzero(A)
-    tails = _insert_rows(r, c.tolist(), A[r, c].astype(np.int64).tolist(), p)
-    if not tails:
-        return []
-    order = sorted(tails)
-    for lead in reversed(order):
+def _reduce(rows, cols, vals, p):
+    """The reduced row echelon form of the triplets of `_insert_rows`, given
+    as numpy arrays: its pivot columns in increasing order, and the
+    nonzeros right of the pivots as lists (pivot index, column, value).
+    One back-substitution over the pivots of `_insert_rows`, right to
+    left, clears the pivot columns from every tail."""
+    tails = _insert_rows(rows, cols.tolist(), vals.tolist(), p)
+    piv = sorted(tails)
+    for lead in reversed(piv):
         # the tails of the pivots right of lead are free of pivot columns
         row = tails[lead]
         for j in [j for j in row if j in tails]:
             _axpy(row, p - row.pop(j), tails[j], p)
-    ri, ci, vi = list(range(len(order))), list(order), [1] * len(order)
-    for k, lead in enumerate(order):
+    ks, cs, vs = [], [], []
+    for k, lead in enumerate(piv):
         row = tails[lead]
-        ri += [k] * len(row)
-        ci += row.keys()
-        vi += row.values()
-    A.fill(0.0)
-    A[ri, ci] = vi
-    return order
+        ks += [k] * len(row)
+        cs += row.keys()
+        vs += row.values()
+    return piv, ks, cs, vs
 
 
 def _insert_rows(rows, cols, vals, p):
@@ -233,10 +224,16 @@ def echelon(a, p):
 
     E has the normalized pivot rows first (leading entry 1, zeros above
     and below it), zero rows after; pivot_cols is the ordered list of
-    pivot column indices.
+    pivot column indices.  The nonzeros of a go through `_reduce`, and
+    its form is written back as float64.
     """
     A = as_gf(a, p)
-    return A, _eliminate(A, p)
+    r, c = np.nonzero(A)
+    piv, ks, cs, vs = _reduce(r, c, A[r, c].astype(np.int64), p)
+    A.fill(0.0)
+    A[range(len(piv)), piv] = 1.0
+    A[ks, cs] = vs
+    return A, piv
 
 
 def rref(a, p):
@@ -247,38 +244,39 @@ def rref(a, p):
 
 def rank(a, p):
     """Rank mod p; a matrix with no rows or no columns has rank 0."""
-    if np.size(a) == 0:
-        return 0
     return len(echelon(a, p)[1])
 
 
 def kernel_nonzeros(a, p):
-    """A basis of the right kernel of a, as its nonzeros:
-    (n, free, vec, coord, val).
+    """`triplet_kernel` of the nonzeros of a dense matrix."""
+    A = as_gf(a, p)
+    r, c = np.nonzero(A)
+    return triplet_kernel(r, c, A[r, c].astype(np.int64), A.shape[1], p)
 
-    `free` are the non-pivot columns of the rref R of a, in increasing
-    order.  Kernel vector k, for k < len(free), has 1 at its free column
-    free[k], p - R[r, free[k]] at the pivot column piv[r] of each row r,
-    and 0 elsewhere: the pivot block, with the identity on `free` implied,
-    so a kernel vector v has the coordinates v[free] over the basis.  Its
-    nonzeros are val at coord where vec == k, sorted by vec; n is the
-    length of the vectors.  A matrix with no rows has the unit vectors as
-    its basis.  Deterministic from the rref.
+
+def triplet_kernel(rows, cols, vals, n, p):
+    """A basis of the right kernel of the matrix with n columns whose
+    nonzeros are the triplets of `_insert_rows`, given as numpy arrays, as
+    its own nonzeros: (n, free, vec, coord, val).  With no triplets the
+    basis is the unit vectors.
+
+    `free` are the non-pivot columns of the reduced row echelon form R of
+    `_reduce`, in increasing order.  Kernel vector k, for k < len(free),
+    has 1 at its free column free[k], p - R[r, free[k]] at the pivot
+    column piv[r] of each row r, and 0 elsewhere: the pivot block, with
+    the identity on `free` implied, so a kernel vector v has the
+    coordinates v[free] over the basis.  Its nonzeros are val at coord
+    where vec == k, sorted by vec, then free column first and pivots in
+    increasing order.  Deterministic from R.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    m, n = a.shape
-    if m == 0:
-        idx = np.arange(n)
-        return n, idx, idx, idx, np.ones(n, dtype=np.int64)
-    R, piv = rref(a, p)
+    piv, ks, cs, vs = _reduce(rows, cols, vals, p)
     is_free = np.ones(n, dtype=bool)
     is_free[piv] = False
     free = np.flatnonzero(is_free)
-    rr, cc = np.nonzero(R[:len(piv)])
-    rr, cc = rr[is_free[cc]], cc[is_free[cc]]
-    vec = np.concatenate([np.arange(len(free)), np.cumsum(is_free)[cc] - 1])
-    coord = np.concatenate([free, np.asarray(piv, dtype=np.intp)[rr]])
-    val = np.concatenate([np.ones(len(free), dtype=np.int64), p - R[rr, cc].astype(np.int64)])
+    vec = np.concatenate([np.arange(len(free)),
+                          np.cumsum(is_free)[np.array(cs, dtype=np.intp)] - 1])
+    coord = np.concatenate([free, np.array(piv, dtype=np.intp)[ks]])
+    val = np.concatenate([np.ones(len(free), dtype=np.int64), p - np.array(vs, dtype=np.int64)])
     order = np.argsort(vec, kind="stable")
     return n, free, vec[order], coord[order], val[order]
 
@@ -295,6 +293,20 @@ def nullspace(a, p):
     return N, free
 
 
+def sum_nonzeros(key, vals, p):
+    """Entries given by integer keys and residues, summed mod p where keys
+    repeat: the distinct keys in increasing order and their sums, with
+    the keys whose sum is 0 dropped."""
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], np.asarray(vals, dtype=np.int64)[order] % p
+    repeat = key[1:] == key[:-1]
+    if repeat.any():
+        first = np.flatnonzero(np.concatenate([[True], ~repeat]))
+        key, vals = key[first], np.add.reduceat(vals, first) % p
+    nonzero = vals != 0
+    return key[nonzero], vals[nonzero]
+
+
 def extend_column_basis(vecs, coords, vals, nk, p):
     """The unit vectors that extend the span S of some vectors of length nk,
     chosen greedily: the j, in increasing order, with e_j not in
@@ -305,16 +317,9 @@ def extend_column_basis(vecs, coords, vals, nk, p):
     one (vector, coordinate) add up.  The answer is the complement of the
     reversed pivots of S, after the singleton step (see the module notes).
     """
-    key = np.asarray(vecs, dtype=np.int64) * nk + np.asarray(coords, dtype=np.int64)
-    order = np.argsort(key, kind="stable")
-    key, vals = key[order], np.asarray(vals, dtype=np.int64)[order] % p
-    repeat = key[1:] == key[:-1]
-    if repeat.any():
-        first = np.flatnonzero(np.concatenate([[True], ~repeat]))
-        key, vals = key[first], np.add.reduceat(vals, first) % p
-    nonzero = vals != 0
-    vecs, coords = np.divmod(key[nonzero], max(nk, 1))
-    vals = vals[nonzero]
+    key, vals = sum_nonzeros(np.asarray(vecs, dtype=np.int64) * nk
+                             + np.asarray(coords, dtype=np.int64), vals, p)
+    vecs, coords = np.divmod(key, max(nk, 1))
     spanned = np.zeros(nk, dtype=bool)
     while vecs.size:
         single = np.bincount(vecs)[vecs] == 1

@@ -231,7 +231,8 @@ def census(tvec, n, trials, window, seed, p=None, stab_window=None):
 
     Returns a dict with the sampled counts, the distinct cohomology tables
     over the window, the maximal observed sheaf regularity and descent
-    dimension among members, and the above-zero-row frequencies.
+    dimension among members, and the above-zero-row frequencies.  A member
+    whose window fails `reconstruct` or `descent` is a reconstructionFailure.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
@@ -265,15 +266,15 @@ def census(tvec, n, trials, window, seed, p=None, stab_window=None):
         members += 1
         try:
             win, table = reconstruct(x, lo, hi)
+            reg_obs = table.max_regularity()
+            if reg_obs is None:
+                reg_obs = _h0_regularity_floor(table)
+            n0, _ = descent(win, max(0, reg_obs))
         except DomainError:
             failures += 1
             continue
         tables[table.key()] = table
-        reg_obs = table.max_regularity()
-        if reg_obs is None:
-            reg_obs = _h0_regularity_floor(table)
         max_reg = reg_obs if max_reg is None else max(max_reg, reg_obs)
-        n0, _ = descent(win, max(0, reg_obs))
         max_descent = n0 if max_descent is None else max(max_descent, n0)
     report = {
         "params": {

@@ -304,8 +304,25 @@ QUADRIC_L3_BETTI = """row\\i 0 1  2  3   4   5
 """
 
 
-def _one_gib_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+QUADRIC_L3_DIRECT_BETTI_6 = """row\\i 0 1  2  3   4   5    6
+    0 1 .  .  .   .   .    .
+   -1 . 1  .  .   .   .    .
+   -3 . . 14 70 216 525 1100
+"""
+
+
+def _capped_quadric_betti(tmp_path, cap, *argv):
+    """stdout of `betti --ematrix <ell=3 quadric> argv` in a child process
+    whose address space is capped at `cap` bytes; fails on a nonzero exit."""
+    path = tmp_path / "quadric_l3.emat"
+    path.write_text(QUADRIC_L3)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(exttate.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "exttate.cli", "betti", "--ematrix", str(path),
+                           *argv], capture_output=True, text=True, timeout=300, env=env,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_quadric_betti_to_step_5_fits_in_one_gib(tmp_path):
@@ -314,15 +331,16 @@ def test_quadric_betti_to_step_5_fits_in_one_gib(tmp_path):
     stacks the radical beside an identity block, 3,354 x 12,300 (315 MiB);
     from the nonzeros, no Resolver step builds a dense kernel basis,
     radical or identity block."""
-    path = tmp_path / "quadric_l3.emat"
-    path.write_text(QUADRIC_L3)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.path.dirname(os.path.dirname(exttate.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "exttate.cli", "betti", "--ematrix", str(path),
-                           "--direct", "--imax", "5"], capture_output=True, text=True,
-                          timeout=300, env=env, preexec_fn=_one_gib_address_space)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == QUADRIC_L3_BETTI
+    assert _capped_quadric_betti(tmp_path, 1 << 30, "--direct", "--imax", "5") == QUADRIC_L3_BETTI
+
+
+def test_quadric_direct_betti_to_step_6_fits_in_512_mib(tmp_path):
+    """ell=3 `betti --direct --imax 6` under a 512 MiB address space.  Built
+    as dense arrays, such as a 2,160 x 2,625 slice image (43 MiB), the
+    covers took the run to about 800 MB and out of memory under this cap;
+    built from nonzeros, no Resolver step holds a dense image."""
+    got = _capped_quadric_betti(tmp_path, 512 << 20, "--direct", "--imax", "6")
+    assert got == QUADRIC_L3_DIRECT_BETTI_6
 
 
 def test_out_of_memory_exits_without_traceback(capsys, monkeypatch, point_file):

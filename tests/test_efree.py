@@ -129,7 +129,7 @@ def test_vectorize_coker_surjective_slice():
 @given(small_graded_maps())
 def test_vectorize_coker_matches_projection_section_rule_property(f):
     """coker(f) has the dims of the projection-section quotients and e_i acts
-    as proj_{d-1} @ apply(i, d, section_d)."""
+    as proj_{d-1} @ action(i, d) @ section_d."""
     p = f.alg.p
     tgt = f.target
     lo, hi = tgt.degree_range()
@@ -141,7 +141,7 @@ def test_vectorize_coker_matches_projection_section_rule_property(f):
         if not (m.dim(d) and m.dim(d - 1)):
             continue
         for i in range(f.alg.nvars):
-            want = gfp.matmul(quot[d - 1][0], tgt.apply(i, d, quot[d][1]), p)
+            want = gfp.matmul(quot[d - 1][0], gfp.matmul(tgt.action(i, d), quot[d][1], p), p)
             assert np.array_equal(m.action(i, d), want), (i, d)
 
 
@@ -178,11 +178,10 @@ def test_free_as_vectorized_checks():
     f.check()
     assert sum(f.hilbert()) == 16  # two shifted copies of E
     # with mixed generator degrees, action(i, d) is the block-diagonal right
-    # multiplication by e_i, and apply(i, d, x) is its product with x
-    p = 3
-    alg = Algebra(2, p)
+    # multiplication by e_i, and action_nonzeros(i, d) are its nonzeros,
+    # sorted by column, on the free module and on its vectorized form
+    alg = Algebra(2, 3)
     f = FreeEModule(alg, (0, -1, 1, 0))
-    rng = np.random.default_rng(7)
     lo, hi = f.degree_range()
     for d in range(lo, hi + 2):
         for i in range(alg.nvars):
@@ -193,8 +192,12 @@ def test_free_as_vectorized_checks():
                 want[r0:r0 + b.shape[0], c0:c0 + b.shape[1]] = b
                 r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
             assert np.array_equal(f.action(i, d), want)
-            x = gfp.random_matrix(f.slice_dim(d), 3, p, rng)
-            assert np.array_equal(f.apply(i, d, x), gfp.matmul(want, x, p))
+            for m in (f, free_as_vectorized(f)):
+                rows, cols, vals = m.action_nonzeros(i, d)
+                assert len(rows) == np.count_nonzero(want) and np.all(np.diff(cols) >= 0)
+                got = gfp.zeros(*want.shape)
+                got[rows, cols] = vals
+                assert np.array_equal(got, want), (i, d)
     free_as_vectorized(f).check()
 
 

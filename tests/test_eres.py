@@ -266,7 +266,7 @@ def test_free_modules_build_each_gather_once(monkeypatch):
     """A free module's e_i gather at (i, d) is asked for as the source of one
     cover and as the ambient of the radical and of the next cover; it is
     built once, so every ask returns the same arrays."""
-    gather = FreeEModule._gather
+    gather = FreeEModule.action_nonzeros
     asked = {}
     modules = []  # keeps every module alive, so no id is reused
 
@@ -276,7 +276,7 @@ def test_free_modules_build_each_gather_once(monkeypatch):
         asked.setdefault((id(self), i, d), []).append(out)
         return out
 
-    monkeypatch.setattr(FreeEModule, "_gather", recording)
+    monkeypatch.setattr(FreeEModule, "action_nonzeros", recording)
     alg = Algebra(2)
     minimal_free_resolution(residue_field(alg), 4)
     e0, e1 = (ExtElement.variable(alg, i) for i in range(2))
@@ -318,7 +318,7 @@ def ambient_generators(alg, amb, ker):
         basis = dense_kernel(ker[d])[0]
         up = ker.get(d + 1)
         if up is not None:
-            rad = np.hstack([amb.apply(i, d + 1, dense_kernel(up)[0])
+            rad = np.hstack([gfp.matmul(amb.action(i, d + 1), dense_kernel(up)[0], alg.p)
                              for i in range(alg.nvars)])
         else:
             rad = gfp.zeros(basis.shape[0], 0)
@@ -379,7 +379,7 @@ def monomial_action_kernel(amb, f, gens):
 @settings(max_examples=100, deadline=None)
 @given(small_graded_maps())
 def test_cover_kernel_matches_monomial_action_rule_property(phi):
-    """Every kernel a Resolver covers, built top down by `apply`, is the one
+    """Every kernel a Resolver covers, built top down from nonzeros, is the one
     the whole-matrix products give, degree by degree: the kernel seed of
     Resolver.of_kernel(phi), the module cover of Resolver(m) and every
     syzygy step of both."""
@@ -402,6 +402,84 @@ def test_cover_kernel_matches_monomial_action_rule_property(phi):
         if not m.is_zero:
             Resolver(m).extend(3)
     assert checked
+
+
+def dense_cover_kernel(amb, f, gens):
+    """The dense cover that `eres._cover_kernel` replaced, kept as its
+    oracle: each slice image `above` (dim amb_d x dim f_d) is a dense array
+    whose columns below a generator's degree are whole action matrices
+    times the columns of the slice above, eliminated by the dense
+    `gfp.kernel_nonzeros`."""
+    alg = f.alg
+    ker = {}
+    lo, hi = f.degree_range()
+    above = None
+    for d in range(hi, lo - 1, -1):
+        n = f.slice_dim(d)
+        if n == 0:
+            above = None
+            continue
+        parts = [([f.offsets(d)[c]], v[:, None]) for c, (g, v) in enumerate(gens) if g == d]
+        if above is not None:
+            done = np.zeros(n, dtype=bool)
+            for i in reversed(range(alg.nvars)):
+                rows, cols, _ = f.action_nonzeros(i, d + 1)
+                fresh = ~done[rows]
+                rows, cols = rows[fresh], cols[fresh]
+                if rows.size:
+                    done[rows] = True
+                    parts.append((rows, gfp.matmul(amb.action(i, d + 1), above[:, cols], alg.p)))
+        above = gfp.zeros(parts[0][1].shape[0], n)
+        for cols, block in parts:
+            above[:, cols] = block
+        kernel = gfp.kernel_nonzeros(above, alg.p)
+        if len(kernel[1]):
+            ker[d] = kernel
+    return ker
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graded_maps())
+def test_cover_kernel_matches_dense_cover_property(phi):
+    """The kernels built from nonzeros equal the dense cover's field for
+    field, (n, free, vec, coord, val), on every step of Resolver(module),
+    whose ambient is first a VectorizedModule, and of Resolver.of_kernel."""
+    cover_kernel = eres._cover_kernel
+    checked = []
+
+    def compared(amb, f, gens):
+        got = cover_kernel(amb, f, gens)
+        want = dense_cover_kernel(amb, f, gens)
+        assert sorted(got) == sorted(want)
+        for d, fields in want.items():
+            assert got[d][0] == fields[0], d
+            assert all(np.array_equal(x, y) for x, y in zip(got[d][1:], fields[1:])), d
+        checked.append(len(got))
+        return got
+
+    with mock.patch.object(eres, "_cover_kernel", compared):
+        Resolver.of_kernel(phi).extend(3)
+        m = vectorize_coker(phi)
+        if not m.is_zero:
+            Resolver(m).extend(3)
+    assert checked
+
+
+def loop_has_unit(amb, gens):
+    """The generator-by-generator rule that `eres._has_unit` replaced, kept
+    as its oracle."""
+    return any(v[amb.offsets(g)[r]] for g, v in gens
+               for r, h in enumerate(amb.gen_degrees) if h == g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graded_maps())
+def test_has_unit_matches_loop_rule_property(phi):
+    """On every step of Resolver.of_kernel(phi): the first cover, which has
+    units when phi is not a minimal presentation, and the syzygy steps."""
+    res = Resolver.of_kernel(phi).extend(3)
+    for amb, gens in res.steps:
+        assert eres._has_unit(amb, gens) == bool(loop_has_unit(amb, gens))
 
 
 def test_generator_choice_eliminates_kernel_sized_stacks(monkeypatch):

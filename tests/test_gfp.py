@@ -113,9 +113,9 @@ def block_matrix(p, rng):
 @example(p=101, shape=(9, 0), density=1.0, blocks=False, seed=0)
 def test_kernel_matches_naive_oracle(p, shape, density, blocks, seed):
     """echelon, rref, rank, nullspace, extend_column_basis and the triplet
-    path `_insert_rows` against naive_rref: sparse to dense matrices up to
-    about 60 x 60, with zero and duplicate rows shuffled in, empty shapes,
-    and block-diagonal matrices."""
+    paths `_insert_rows` and `triplet_kernel` against naive_rref: sparse to
+    dense matrices up to about 60 x 60, with zero and duplicate rows
+    shuffled in, empty shapes, and block-diagonal matrices."""
     rng = np.random.default_rng(seed)
     if blocks:
         A = block_matrix(p, rng)
@@ -150,6 +150,13 @@ def test_kernel_matches_naive_oracle(p, shape, density, blocks, seed):
         row[lead] = 1
         row[list(tail)] = list(tail.values())
         assert np.array_equal(row, sum(row[j] * exact[k] % p for k, j in enumerate(piv)) % p)
+    # the kernel of the same triplets is the dense path's, field for field
+    got = gfp.triplet_kernel(3 * r + 1, c, A[r, c].astype(np.int64), n, p)
+    assert got[0] == n and all(np.array_equal(x, y)
+                               for x, y in zip(got[1:], gfp.kernel_nonzeros(A, p)[1:]))
+    N = gfp.zeros(n, len(free))
+    N[got[3], got[2]] = got[4]
+    assert np.array_equal(N, want)
     # the rows as vectors: e_j extends them when j is no last nonzero of their span
     last = {n - 1 - j for j in naive_rref(A[:, ::-1], p)[1]}
     want_units = [j for j in range(n) if j not in last]

@@ -303,6 +303,18 @@ def test_non_minimal_n0_point_fails_reconstruction(capsys):
     assert (rep["members"], rep["reconstructionFailures"]) == (2, 2)
 
 
+def test_narrow_window_member_counts_as_a_reconstruction_failure(capsys):
+    """In the window 0..1 `descent` finds no linear differential past the
+    regularity: the member counts under reconstructionFailures, adds no
+    table, and the run reports its tally instead of exiting 1."""
+    code = main(["census", "--b", "1", "--bprime", "1", "-n", "2", "--trials", "1",
+                 "--seed", "0", "--window", "0..1"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (rep["members"], rep["reconstructionFailures"]) == (1, 1)
+    assert (rep["distinctTables"], rep["maxRegularity"], rep["maxDescentDim"]) == ([], None, None)
+
+
 def test_fallback_trial_seeds_ker_phi_dual_once(monkeypatch):
     """A (1; 1,1) trial at n=2 has a phi-dual that is not a minimal
     presentation.  The cover of ker(phi-dual) on which that showed stays on
