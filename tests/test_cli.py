@@ -187,6 +187,19 @@ entry 5 3 : e0*e1
 """
 
 
+# a unit entry at (0, 0) and two equal columns: coker(phi) and coker(phi-dual)
+# are presented non-minimally, in both ways
+UNIT_AND_REPEAT = """ealg n=2 p=101
+rowdegs=[0,1] coldegs=[0,-1,-1]
+entry 0 0 : 1
+entry 1 0 : e0
+entry 0 1 : e1
+entry 1 1 : e0*e2
+entry 0 2 : e1
+entry 1 2 : e0*e2
+"""
+
+
 @pytest.mark.parametrize("argv, want", [
     (["tate", "--module", "{cubic}", "--window", "-1..2", "--matrices"],
      CUBIC_TATE_MATRICES),
@@ -195,13 +208,27 @@ entry 5 3 : e0*e1
     (["betti", "--ematrix", "{pt}", "--imax", "4"],
      "row\\i 0 1 2 3 4\n    0 1 2 3 4 5\n"),
     (["reg", "--ematrix", "{pt}"], "regularity = 0 (certified)\n"),
-], ids=["tate-matrices-cubic", "descend-point-n3", "betti-point-n3", "reg-point-n3"])
+    (["betti", "--ematrix", "{unit}", "--direct", "--imax", "3"],
+     "row\\i 0 1 2 3\n    1 1 . . .\n    0 . 1 2 3\n"),
+    (["betti", "--ematrix", "{unit}", "--imax", "3"],
+     "row\\i 0 1 2 3\n    1 2 . . .\n    0 . 1 2 3\n"),
+    (["betti", "--ematrix", "{unit}", "--direct", "--imax", "0"], "row\\i 0\n    1 1\n"),
+    (["reg", "--ematrix", "{unit}"], "regularity = 0 (certified)\n"),
+    (["alpha", "--ematrix", "{unit}", "--direct", "--k-range", "-3..1"],
+     "alpha_-3 = -3\nalpha_-2 = 2\nalpha_-1 = -1\nalpha_0 = 0\nalpha_1 = 1\n"),
+], ids=["tate-matrices-cubic", "descend-point-n3", "betti-point-n3", "reg-point-n3",
+        "betti-direct-unit", "betti-unit", "betti-direct-unit-step-0", "reg-unit",
+        "alpha-direct-unit"])
 def test_golden_stdout(capsys, tmp_path, cubic_file, argv, want):
     """Whole stdout, byte for byte: the Tate differentials and descent spans
-    print the matrices the Resolver chose, not only Betti numbers."""
+    print the matrices the Resolver chose, not only Betti numbers; the
+    tables of a non-minimal presentation are those of its cokernel."""
     pt = tmp_path / "pt3.emat"
     pt.write_text(POINT_N3)
-    code, out, _ = run(capsys, *[a.format(cubic=cubic_file, pt=str(pt)) for a in argv])
+    unit = tmp_path / "unit.emat"
+    unit.write_text(UNIT_AND_REPEAT)
+    code, out, _ = run(capsys, *[a.format(cubic=cubic_file, pt=str(pt), unit=str(unit))
+                                 for a in argv])
     assert code == 0
     assert out == want
 
@@ -210,6 +237,13 @@ def test_tate_listing(capsys, cubic_file):
     code, out, _ = run(capsys, "tate", "--module", cubic_file, "--window", "-1..2")
     assert code == 0
     assert "T^0" in out and "E(1)^3" in out
+
+
+# a unit generates the whole target: coker(phi) is zero
+ZERO_COKERNEL = """ealg n=2 p=101
+rowdegs=[0] coldegs=[0]
+entry 0 0 : 1
+"""
 
 
 @pytest.mark.parametrize("argv, files, want", [
@@ -235,14 +269,23 @@ def test_tate_listing(capsys, cubic_file):
     (["alpha", "--ematrix", "{pt}", "--k-range", "3..1"], {}, 1),
     (["sample", "--b", "1", "--bprime", "1", "-n", "3", "--seed", "0",
       "--out", "{tmp}/nonexistent/dir/x.emat"], {}, 2),
+    (["betti", "--ematrix", "{zero}", "--direct"], {}, (1, "cannot resolve the zero module")),
+    (["reg", "--ematrix", "{zero}", "--direct"], {},
+     (1, "regularity of the zero module is undefined")),
+    (["census", "--b", "0", "--bprime", "1", "-n", "2", "--trials", "1", "--seed", "0",
+      "--window", "-3..6"], {}, (1, "cokernel of phi-dual is zero; degenerate point")),
 ], ids=["p-not-prime", "p-above-bound", "emat-header-p", "smod-header-p", "mccullough-p",
         "sample-negative-n", "census-negative-seed", "census-window-without-0-1",
         "census-empty-window", "census-support-above-n", "sample-support-above-n",
         "stab-window-zero",
         "reg-negative-max-steps", "mccullough-negative-max-steps", "alpha-empty-k-range",
-        "sample-out-missing-dir"])
+        "sample-out-missing-dir", "betti-zero-cokernel", "reg-zero-cokernel",
+        "census-zero-cokernel"])
 def test_bad_input_exits_without_traceback(capsys, tmp_path, point_file, argv, files, want):
-    paths = {"pt": point_file, "tmp": str(tmp_path)}
+    """`want` is the exit status, or the exit status and a message on stderr."""
+    zero = tmp_path / "zero.emat"
+    zero.write_text(ZERO_COKERNEL)
+    paths = {"pt": point_file, "tmp": str(tmp_path), "zero": str(zero)}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
         paths["bad"] = str(tmp_path / name)
@@ -251,10 +294,13 @@ def test_bad_input_exits_without_traceback(capsys, tmp_path, point_file, argv, f
     except SystemExit as exc:  # argparse rejects bad option values
         code = exc.code
     err = capsys.readouterr().err
+    want, message = want if isinstance(want, tuple) else (want, None)
     assert code == want
     assert "Traceback" not in err
     if files:
         assert "line 1" in err
+    if message:
+        assert message in err
 
 
 @pytest.mark.parametrize("argv, data", [
