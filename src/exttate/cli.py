@@ -7,6 +7,7 @@ memory, 2 parse error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -117,11 +118,10 @@ def _regularity_line(res):
     return "regularity = %d (%s)" % (res.value, tag)
 
 
-def _module_from_ematrix(args):
+def _presentation(args):
+    """phi of --ematrix with --direct, phi-dual otherwise: its cokernel is read."""
     phi = parse_ematrix(_read(args.ematrix), p=args.prime)
-    if getattr(args, "direct", False):
-        return vectorize_coker(phi), phi
-    return vectorize_coker(phi.dual()), phi
+    return phi if args.direct else phi.dual()
 
 
 def cmd_cohomology(args):
@@ -163,9 +163,9 @@ def cmd_tate(args):
 
 
 def cmd_betti(args):
-    m, _ = _module_from_ematrix(args)
-    win = eres.minimal_free_resolution(m, args.imax)
-    table = win.betti_table()
+    res = eres.minimal_free_resolution(_presentation(args), args.imax)
+    table = eres.BettiTable({(i, j): v for (i, j), v in res.betti_table().entries.items()
+                             if i <= args.imax})
     if args.format == "json":
         _emit(json.dumps({"entries": [[i, j, v] for (i, j, _, v) in table.records()]},
                          sort_keys=True))
@@ -177,14 +177,15 @@ def cmd_betti(args):
 
 
 def cmd_reg(args):
-    m, _ = _module_from_ematrix(args)
-    res = eres.regularity(m, stab_window=args.stab_window, max_steps=args.max_steps)
+    res = eres.regularity(_presentation(args), stab_window=args.stab_window,
+                          max_steps=args.max_steps)
     _emit(_regularity_line(res))
     return 0
 
 
 def cmd_alpha(args):
-    m, _ = _module_from_ematrix(args)
+    phi = _presentation(args)
+    m = vectorize_coker(phi)
     if args.k is not None:
         ks = [int(args.k)]
     else:
@@ -192,7 +193,7 @@ def cmd_alpha(args):
         if klo > khi:
             raise DomainError("empty k range [%d, %d]" % (klo, khi))
         ks = list(range(klo, khi + 1))
-    reg = eres.regularity(m, stab_window=args.stab_window)
+    reg = eres.regularity(phi, stab_window=args.stab_window)
     scanner = eres.CartanScanner(m)
     lines = []
     for k in ks:
@@ -282,10 +283,8 @@ def cmd_mccullough(args):
     alg = Algebra(n, args.prime if args.prime is not None else DEFAULT_PRIME)
     terms = " + ".join("e%d*e%d" % (2 * m, 2 * m + 1) for m in range(ell))
     q = parse_element(alg, terms)
-    src = FreeEModule(alg, (-2,))
-    tgt = FreeEModule(alg, (0,))
-    m = vectorize_coker(GradedMap(src, tgt, {(0, 0): q}))
-    res = eres.regularity(m, stab_window=args.stab_window, max_steps=args.max_steps)
+    quadric = GradedMap(FreeEModule(alg, (-2,)), FreeEModule(alg, (0,)), {(0, 0): q})
+    res = eres.regularity(quadric, stab_window=args.stab_window, max_steps=args.max_steps)
     _emit("quadric with %d terms over %d variables (GF(%d))" % (ell, n + 1, alg.p))
     _emit(_regularity_line(res))
     expected = ell - 2
@@ -294,7 +293,9 @@ def cmd_mccullough(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first `main` call and then kept."""
     ap = argparse.ArgumentParser(
         prog="exttate",
         description="Exact exterior-algebra engine: Tate windows, cohomology "

@@ -16,16 +16,6 @@ projection is N.T and the coordinates `free` are its basis
 (`vectorize_coker`, and `smod.slice_presentation` on the S-side).  The
 Resolver's kernel slices are the same basis kept as nonzeros (see `eres`).
 
-FreeEModule and VectorizedModule both expose the e_i action as
-`action(i, d)` and its nonzeros, sorted by column, as
-`action_nonzeros(i, d)`.  The resolution engine (`eres`) acts on either
-one through `action_nonzeros` alone.  On a free module they are the
-gather of e_i, cached per module: a resolution reads each (i, d) for the
-images a cover builds, the radical in the generator choice and the
-source side of the next cover.  Whole action matrices are read by
-`vectorize_coker` (FreeEModule.action) and by the Cartan oracle and
-`cone_extend` in `eres` (VectorizedModule.action).
-
 The `.emat` matrix format shares its parser skeleton, `parse_matrix_file`,
 with the `.smod` format of the S-side.
 """
@@ -246,13 +236,6 @@ class VectorizedModule:
         if key in self.actions:
             return self.actions[key]
         return gfp.zeros(self.dim(d - 1), self.dim(d))
-
-    def action_nonzeros(self, i, d):
-        """The nonzeros of action(i, d) as (rows, cols, values), sorted by
-        column."""
-        mat = self.action(i, d)
-        cols, rows = np.nonzero(mat.T)
-        return rows, cols, mat[rows, cols]
 
     def check(self):
         """Verify the action maps anticommute and square to zero."""

@@ -3,19 +3,18 @@
 Two independent engines compute graded Betti numbers:
 
 * the resolution engine `Resolver`.  Its one step covers a submodule of
-  an ambient module by minimal generators, kept as (ambient, generator
-  vectors), and the next step covers the kernel of that cover, built
-  slice by slice from the nonzeros of the action (`_cover_kernel`) on
-  either kind of ambient.  It resolves a
-  VectorizedModule (step 0 covers the module itself), the kernel of a
-  GradedMap (`resolve_kernel_steps`, which turns the steps into maps
-  spliced onto the map's source) or the cokernel of a minimal
-  presentation (`Resolver.of_presentation`); beta_{i,j} = number of
-  generators of F_i in degree j.  No step builds a dense image, kernel
-  basis or radical: a kernel is kept as the nonzeros of its basis
-  (`gfp.triplet_kernel`), the pivot block with the identity on the free
-  columns implied.  Generators are
-  chosen in kernel coordinates, among dim ker_d unit vectors instead of
+  an ambient free module by minimal generators, kept as (ambient,
+  generator vectors), and the next step covers the kernel of that cover,
+  built slice by slice from the nonzeros of the action (`_cover_kernel`).
+  It resolves the kernel of a GradedMap (`resolve_kernel_steps` turns
+  the steps into maps spliced onto its source) and the cokernel, from the
+  map as a presentation (`Resolver.of_presentation`): unit entries are
+  pruned by Schur complements and source columns that the others
+  generate are dropped.  beta_{i,j} = number of generators of F_i in
+  degree j.  No step builds a dense image, kernel basis or radical: a
+  kernel is kept as the nonzeros of its basis (`gfp.triplet_kernel`), the
+  pivot block with the identity on the free columns implied.  Generators
+  are chosen in kernel coordinates, among dim ker_d unit vectors instead of
   dim F_d: each e_i maps ker_{d+1} into ker_d, greedy choices do not
   change under an injective linear map, and the nonzeros of the radical
   come straight from those of ker_{d+1} through the nonzeros of the
@@ -40,7 +39,7 @@ import math
 import numpy as np
 
 from . import gfp
-from .errors import DomainError
+from .errors import DomainError, ZeroModuleError
 from .extalg import Algebra
 from .efree import FreeEModule, GradedMap, VectorizedModule
 from .smod import exponent_vectors
@@ -114,7 +113,8 @@ def _cover_kernel(amb, f, gens):
     so the sign is +1 and the largest i reaching gen * m in the gather
     f.action_nonzeros(i, d+1) is that factor; its image is the `_act`
     image of b's.  Entries meeting at one (row, column), as the action of
-    a VectorizedModule makes them, are summed before `gfp.triplet_kernel`.
+    an ambient that is not free can make them, are summed before
+    `gfp.triplet_kernel`.
     """
     p = amb.alg.p
     ker = {}
@@ -210,13 +210,52 @@ def _generator_vectors(phi):
     return [(g, slices[g][:, src.offsets(g)[c]]) for c, g in enumerate(src.gen_degrees)]
 
 
+def _unit_parts(amb, gens):
+    """The unit entries of the map into amb of each generator vector of a degree
+    that amb's generators have: (those generators, its E_0 coordinates on them)."""
+    at = {h: [r for r, g in enumerate(amb.gen_degrees) if g == h] for h in set(amb.gen_degrees)}
+    offsets = {h: [amb.offsets(h)[r] for r in rs] for h, rs in at.items()}
+    return [(at[g], v[offsets[g]]) for g, v in gens if g in at]
+
+
 def _has_unit(amb, gens):
-    """True iff some generator vector has a nonzero E_0 coordinate on a
-    same-degree generator of `amb`, i.e. its map into amb has a unit entry;
-    each vector is indexed once, at the offsets of those generators."""
-    units = {h: [amb.offsets(h)[r] for r, g in enumerate(amb.gen_degrees) if g == h]
-             for h in set(amb.gen_degrees)}
-    return any(v[units[g]].any() for g, v in gens if g in units)
+    """True iff the map into amb of some generator vector has a unit entry."""
+    return any(units.any() for _, units in _unit_parts(amb, gens))
+
+
+def _restrict(phi, entries, rows, cols):
+    """The map on target generators `rows` and source generators `cols` of
+    phi, with the entries there of `entries` (keyed as phi's)."""
+    return GradedMap(FreeEModule(phi.alg, [phi.source.gen_degrees[c] for c in cols]),
+                     FreeEModule(phi.alg, [phi.target.gen_degrees[r] for r in rows]),
+                     {(i, k): entries[r, c] for i, r in enumerate(rows)
+                      for k, c in enumerate(cols) if (r, c) in entries})
+
+
+def _prune(phi):
+    """phi without unit entries, as Macaulay2's `prune` (Decker-Eisenbud): the
+    first unit lambda, at (r0, c0), drops row r0 and column c0 and entry(r, c)
+    -= entry(r, c0) * lambda^-1 * entry(r0, c), keeping coker(phi), until none is left."""
+    while not phi.is_minimal():
+        r0, c0 = min(k for k, e in phi.entries.items() if e.degree == 0)
+        inv = pow(phi.entries[r0, c0].terms[0], -1, phi.alg.p)
+        ent = {(r, c): phi.entry(r, c) - phi.entry(r, c0) * phi.entry(r0, c).scale(inv)
+               for r in range(phi.target.rank) for c in range(phi.source.rank)}
+        phi = _restrict(phi, ent, [r for r in range(phi.target.rank) if r != r0],
+                        [c for c in range(phi.source.rank) if c != c0])
+    return phi
+
+
+def _kept_columns(src, gens):
+    """The generators of src that the others do not generate, given minimal
+    generators `gens` of the kernel of a map out of src: all but the pivots
+    of the rref of their `_unit_parts`."""
+    parts = _unit_parts(src, gens)
+    units = gfp.zeros(len(parts), src.rank)
+    for k, (cols, vals) in enumerate(parts):
+        units[k, cols] = vals
+    dropped = gfp.rref(units, src.alg.p)[1] if units.any() else []
+    return [c for c in range(src.rank) if c not in dropped]
 
 
 def _map_from_ambient_vectors(amb, gens):
@@ -230,58 +269,20 @@ class Resolver:
     """Incremental minimal free resolution, one kernel cover per step.
 
     Every step is the same: it picks minimal generators of a submodule of
-    its ambient module (`_kernel_generators`) and is kept as the pair
+    its ambient module `amb` (`_kernel_generators`) and is kept as the pair
     (ambient, generator vectors).  The next step covers the kernel of the
     free module on those generators -> ambient, built from the nonzeros of
-    the ambient's action (`_cover_kernel`).  `Resolver(module)` starts
-    from the whole VectorizedModule, so step 0 is its minimal cover.
+    the ambient's action (`_cover_kernel`).  The first covers `kernel()`.
     `Resolver.of_kernel(phi)` starts from frees = [source of phi] and the
     kernel of phi's generator vectors, so its steps resolve ker(phi).
-    `Resolver.of_presentation(phi, res)` puts the target in front of the
-    frees of such a resolver, so it resolves coker(phi) when phi is a
-    minimal presentation.
+    `Resolver.of_presentation(phi)` puts the target in front of such a
+    resolver of a minimal presentation, so it resolves coker(phi).
     Choices run through the deterministic pivoting in gfp, so reruns
     reproduce the same vectors.  A step builds the kernel it covers on
     entry, so the last step of a run builds no kernel that nothing reads.
     """
 
-    def __init__(self, module):
-        if module.is_zero:
-            raise DomainError("cannot resolve the zero module")
-        # the whole of each slice: the kernel of no equations
-        self._start([], module, lambda: {d: gfp.kernel_nonzeros(gfp.zeros(0, n), module.alg.p)
-                                         for d, n in module.dims.items()})
-
-    @classmethod
-    def of_kernel(cls, phi):
-        """Resolver of ker(phi), seeded with F_0 = source(phi)."""
-        res = cls.__new__(cls)
-        res._start([phi.source], phi.source,
-                   lambda: _cover_kernel(phi.target, phi.source, _generator_vectors(phi)))
-        return res
-
-    @staticmethod
-    def of_presentation(phi, res):
-        """Minimal resolution of coker(phi) built on phi itself, or None if
-        phi is not a minimal presentation of its cokernel.
-
-        `res` is a `Resolver.of_kernel(phi)` with no steps taken, which the
-        caller keeps.  F_0 = target(phi) and F_1 = source(phi) when no entry
-        of phi is a unit (the target generators are minimal) and the first
-        cover of ker(phi) has no unit (no source generator is a combination
-        of the others); that cover is taken on `res`.  When phi is a minimal
-        presentation, `res` is returned with F_0 put in front: F_{k+2} is
-        the module of its step k (from 0), and `steps` resolve ker(phi).
-        """
-        if not phi.is_minimal():
-            return None
-        res.step()
-        if res.steps and _has_unit(*res.steps[0]):
-            return None
-        res.frees.insert(0, phi.target)
-        return res
-
-    def _start(self, frees, amb, kernel):
+    def __init__(self, frees, amb, kernel):
         self.alg = amb.alg
         self.frees = frees
         self.steps = []
@@ -289,6 +290,32 @@ class Resolver:
         # the next step covers the submodule kernel() of amb, by degree
         self._amb = amb
         self._kernel = kernel
+
+    @classmethod
+    def of_kernel(cls, phi):
+        """Resolver of ker(phi), seeded with F_0 = source(phi)."""
+        return cls([phi.source], phi.source,
+                   lambda: _cover_kernel(phi.target, phi.source, _generator_vectors(phi)))
+
+    @classmethod
+    def of_presentation(cls, phi, res=None):
+        """Minimal free resolution of coker(phi): F_0 is the target of phi
+        `_prune`d (ZeroModuleError if that is 0), and the first cover of the
+        kernel is taken on `res`, a `Resolver.of_kernel(phi)` with no step
+        taken that the caller keeps (fresh if none or pruning changed phi).
+        It is returned with F_0 in front (F_{k+2} is its step k) if
+        `_kept_columns` keeps all; else `of_kernel` of those kept is."""
+        psi = _prune(phi)
+        if not psi.target.rank:
+            raise ZeroModuleError("cannot resolve the zero module")
+        if res is None or psi is not phi:
+            res = cls.of_kernel(psi)
+        res.step()
+        kept = _kept_columns(psi.source, res.steps[0][1] if res.steps else [])
+        if len(kept) < psi.source.rank:
+            res = cls.of_kernel(_restrict(psi, psi.entries, range(psi.target.rank), kept))
+        res.frees.insert(0, psi.target)
+        return res
 
     def step(self):
         """Extend the resolution by one free module; returns its gen degrees."""
@@ -299,8 +326,8 @@ class Resolver:
         if not gens:
             self.terminated = True
             return ()
-        # Past a minimal cover every syzygy lies in m*F, so a unit is a bug.
-        # The first cover of a kernel seed may have units: its caller reports them.
+        # Past the first cover (of_presentation drops its units) every syzygy
+        # lies in m*F, so a unit is a bug.
         if self.steps and _has_unit(amb, gens):
             raise DomainError("internal: non-minimal syzygy step")
         f = FreeEModule(amb.alg, tuple(g for g, _ in gens))
@@ -319,18 +346,17 @@ class Resolver:
         return self
 
     def betti_table(self):
-        entries = {}
-        for i, f in enumerate(self.frees):
-            for g in f.gen_degrees:
-                entries[(i, g)] = entries.get((i, g), 0) + 1
-        return BettiTable(entries)
+        return BettiTable({(i, -a): m for i, f in enumerate(self.frees)
+                           for a, m in f.twist_summands()})
 
 
-def minimal_free_resolution(m, i_max):
-    """Resolve m through homological step i_max (F_0 .. F_{i_max})."""
+def minimal_free_resolution(phi, i_max):
+    """`Resolver.of_presentation(phi)` holding F_0 .. F_{i_max} of coker(phi),
+    or more: it starts with three."""
     if i_max < 0:
         raise DomainError("need i_max >= 0")
-    return Resolver(m).extend(i_max + 1)
+    res = Resolver.of_presentation(phi)
+    return res.extend(i_max + 1 - len(res.frees))
 
 
 def resolve_kernel_steps(phi, steps, resolver=None):
@@ -338,9 +364,9 @@ def resolve_kernel_steps(phi, steps, resolver=None):
 
     Returns [g_1, g_2, ...] where g_1 : G_1 -> source(phi) covers ker(phi)
     minimally and each later map covers the kernel of the previous one.
-    `resolver`, if given, is one whose steps resolve ker(phi)
-    (`Resolver.of_kernel` or `of_presentation` of phi): its first `steps`
-    steps are read, and it is extended if it has fewer.
+    `resolver`, if given, is one whose steps resolve ker(phi) (`of_kernel`,
+    or `of_presentation` of a minimal phi): its first `steps` steps are
+    read, and it is extended if it has fewer.
     """
     res = resolver if resolver is not None else Resolver.of_kernel(phi)
     res.extend(steps - len(res.steps))
@@ -424,8 +450,8 @@ class RegularityResult:
 
 
 def regularity(m, stab_window=None, max_steps=200, stop_below=None):
-    """Stable top row of the Betti table of m, a nonzero VectorizedModule
-    or a Resolver of a minimal free resolution of one.
+    """Stable top row of the Betti table of the nonzero module that m, a
+    Resolver of a minimal free resolution or a GradedMap, resolves or presents.
 
     Walks the minimal free resolution, tracking the top row i + max(gen
     degree of F_i); steps the Resolver already holds are read, not
@@ -437,12 +463,10 @@ def regularity(m, stab_window=None, max_steps=200, stop_below=None):
     it: the bound is then proven (top rows cannot come back up) and the
     result carries truncated_below=True.
     """
-    if isinstance(m, Resolver):
-        res = m
-    elif m.is_zero:
-        raise DomainError("regularity of the zero module is undefined")
-    else:
-        res = Resolver(m)
+    try:
+        res = m if isinstance(m, Resolver) else Resolver.of_presentation(m)
+    except ZeroModuleError:
+        raise DomainError("regularity of the zero module is undefined") from None
     w = stab_window if stab_window is not None else res.alg.nvars + 1
     if w < 1:
         raise DomainError("stabilization window must be at least 1 step, got %d" % w)

@@ -9,6 +9,10 @@ class DomainError(ExttateError):
     """Mathematically invalid request (CLI exit status 1)."""
 
 
+class ZeroModuleError(DomainError):
+    """A resolution asked of the zero module."""
+
+
 class WindowError(DomainError):
     """A slice window is too small; carries the width that would suffice."""
 

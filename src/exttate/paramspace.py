@@ -12,7 +12,7 @@ For a minimal presentation phi-dual : F'-dual -> F-dual the resolution is
 F-dual <- F'-dual <- (the steps resolving ker(phi-dual)); by BGG its dual is
 the right half of the Tate window, so membership, the z-histogram and the
 window read the same steps.  A phi-dual that is not a minimal presentation
-has its vectorized cokernel resolved instead (and fails reconstruction).
+is pruned to one for membership and the z-histogram, and fails reconstruction.
 
 The census harness samples many points per seed, filters by membership,
 and aggregates distinct tables, observed sheaf regularity, descent
@@ -24,9 +24,9 @@ import json
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ZeroModuleError
 from .extalg import DEFAULT_PRIME, Algebra, random_element
-from .efree import FreeEModule, GradedMap, vectorize_coker
+from .efree import FreeEModule, GradedMap
 from .eres import Resolver, regularity
 from .tate import cohomology_table, descent, tate_from_point
 
@@ -96,14 +96,8 @@ class MatrixPoint:
         self.tvec = tvec
         self.phi = phi
         self.n = phi.alg.n
-        self._coker_dual = None
         self._resolver = None
         self._kernel_resolver = None
-
-    def coker_dual(self):
-        if self._coker_dual is None:
-            self._coker_dual = vectorize_coker(self.phi.dual())
-        return self._coker_dual
 
     def kernel_resolver(self):
         """The resolver of ker(phi-dual), `Resolver.of_kernel(phi-dual)`,
@@ -113,25 +107,17 @@ class MatrixPoint:
         return self._kernel_resolver
 
     def resolver(self):
-        """Minimal free resolution of coker(phi-dual), built once per point.
-
-        When phi-dual is a minimal presentation it is
-        `Resolver.of_presentation(phi-dual, kernel_resolver())`, whose steps
-        resolve ker(phi-dual) and so also give the right half of the Tate
-        window.  Otherwise it resolves the vectorized cokernel,
-        `Resolver(coker_dual())`, and `kernel_resolver()` keeps the first
-        cover of ker(phi-dual) that the presentation was tried on, for the
-        Tate window to read instead of resolving ker(phi-dual) again.
-        """
+        """`Resolver.of_presentation(phi-dual, kernel_resolver())`, built once
+        per point.  For a minimal presentation its steps resolve ker(phi-dual)
+        and give the right half of the Tate window; otherwise it resolves the
+        pruned presentation, and the window reads the first cover of
+        ker(phi-dual) that `kernel_resolver()` keeps, and fails."""
         if self._resolver is None:
-            phid = self.phi.dual()
-            res = Resolver.of_presentation(phid, self.kernel_resolver())
-            if res is None:
-                m = self.coker_dual()
-                if m.is_zero:
-                    raise DomainError("cokernel of phi-dual is zero; degenerate point")
-                res = Resolver(m)
-            self._resolver = res
+            try:
+                self._resolver = Resolver.of_presentation(self.phi.dual(),
+                                                          self.kernel_resolver())
+            except ZeroModuleError:
+                raise DomainError("cokernel of phi-dual is zero; degenerate point") from None
         return self._resolver
 
     def __repr__(self):

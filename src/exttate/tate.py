@@ -207,8 +207,8 @@ def tate_from_point(phi, lo, hi, resolver=None):
     The right part dualizes a minimal free resolution of coker(phi-dual)
     built on phi-dual itself: it is the left part of phi-dual's window,
     reflected by k -> 1 - k.  `resolver`, if given, is a Resolver whose
-    steps resolve ker(phi-dual) (`Resolver.of_kernel` or `of_presentation`
-    of phi-dual, as a census point holds it); its first hi - 1 steps are
+    steps resolve ker(phi-dual) (`Resolver.of_kernel(phi-dual)`, as a
+    census point holds it); its first hi - 1 steps are
     read and it is extended if it has fewer.  The left part resolves
     ker(phi).  Raises DomainError if phi has unit entries, if phi-dual is
     not a minimal presentation of its cokernel, or if the resulting

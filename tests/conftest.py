@@ -5,20 +5,56 @@ import pytest
 from hypothesis import strategies as st
 
 from exttate import gfp, paramspace
+from exttate.errors import DomainError
 from exttate.extalg import Algebra, ExtElement, random_element
 from exttate.efree import FreeEModule, GradedMap, VectorizedModule, vectorize_coker
+from exttate.eres import Resolver, regularity
 from exttate.smod import PolyRing, SPresentation, parse_poly, slice_presentation
 
 
+class ModuleAmbient(VectorizedModule):
+    """A VectorizedModule that a Resolver can act on: it adds the nonzeros
+    of the action, which is all the Resolver reads of its ambient."""
+
+    def action_nonzeros(self, i, d):
+        """The nonzeros of action(i, d) as (rows, cols, values), sorted by
+        column."""
+        mat = self.action(i, d)
+        cols, rows = np.nonzero(mat.T)
+        return rows, cols, mat[rows, cols]
+
+
 def free_as_vectorized(f):
-    """A free module's own slice data."""
+    """A free module's own slice data, with the nonzeros of its action."""
     lo, hi = f.degree_range()
     dims = {d: f.slice_dim(d) for d in range(lo, hi + 1)}
     actions = {}
     for d in range(lo + 1, hi + 1):
         for i in range(f.alg.nvars):
             actions[(i, d)] = f.action(i, d)
-    return VectorizedModule(f.alg, dims, actions)
+    return ModuleAmbient(f.alg, dims, actions)
+
+
+def module_resolver(m):
+    """The module path, the oracle that resolutions from a presentation are
+    checked against: a Resolver of the VectorizedModule m itself, whose
+    step 0 minimally covers the whole of each slice (the kernel of no
+    equations), so F_0 is the cover of m and not a presentation's target."""
+    if m.is_zero:
+        raise DomainError("cannot resolve the zero module")
+    amb = ModuleAmbient(m.alg, m.dims, m.actions)
+    return Resolver([], amb, lambda: {d: gfp.kernel_nonzeros(gfp.zeros(0, n), m.alg.p)
+                                      for d, n in m.dims.items()})
+
+
+def module_resolution(m, i_max):
+    """The module path through homological step i_max (F_0 .. F_{i_max})."""
+    return module_resolver(m).extend(i_max + 1)
+
+
+def module_regularity(m, **kwargs):
+    """`regularity` of the module path of m."""
+    return regularity(module_resolver(m), **kwargs)
 
 
 def free_presentation(ring):

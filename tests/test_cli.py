@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import exttate
+from exttate import cli, efree
 from exttate.cli import main
 from exttate.tate import CohomologyTable
 
@@ -103,6 +104,36 @@ def test_betti_csv_records(capsys, point_file):
     lines = out.strip().splitlines()
     assert lines[0] == "i,j,row,value"
     assert "0,0,0,1" in lines and "1,-1,0,1" in lines
+
+
+def test_only_alpha_vectorizes_a_cokernel(capsys, monkeypatch, point_file):
+    """betti, reg and mccullough resolve the presentation itself; alpha
+    vectorizes its cokernel once, for the Cartan scanner."""
+    calls = []
+    vectorize = efree.vectorize_coker
+
+    def counted(f):
+        calls.append(f)
+        return vectorize(f)
+
+    for mod in (efree, cli):
+        monkeypatch.setattr(mod, "vectorize_coker", counted)
+    for argv, want in [(["betti", "--ematrix", point_file], 0),
+                       (["reg", "--ematrix", point_file, "--direct"], 0),
+                       (["mccullough", "--ell", "2"], 0),
+                       (["alpha", "--ematrix", point_file, "--k", "0"], 1)]:
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == want, argv
+
+
+def test_parser_is_built_once(capsys, point_file):
+    """The argument parser is built on the first `main` call and reused."""
+    cli.build_parser.cache_clear()
+    outs = [run(capsys, "reg", "--ematrix", point_file)[1] for _ in range(2)]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert outs[0] == outs[1] == "regularity = 0 (certified)\n"
 
 
 def test_push_check_and_descend(capsys, cubic_file, point_file):

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (dense_extend_column_basis, dense_kernel, free_as_vectorized,
-                      module_corpus, quotient_by, residue_field, small_graded_maps)
+                      module_corpus, module_regularity, module_resolution, module_resolver,
+                      quotient_by, residue_field, small_graded_maps)
 from exttate.bgg import graded_map_homology
-from exttate.errors import DomainError
+from exttate.errors import DomainError, ZeroModuleError
 from exttate.extalg import Algebra, ExtElement, parse_element
 from exttate.efree import FreeEModule, GradedMap, vectorize_coker
 from exttate import eres, gfp
 from exttate.eres import (CartanScanner, Resolver, alpha, alpha_hilbert_rhs, cone_extend,
-                          minimal_free_resolution, regularity, resolve_kernel_steps)
+                          minimal_free_resolution, resolve_kernel_steps)
 
 P = 32003
 
@@ -23,7 +24,7 @@ P = 32003
 def test_free_module_resolution_terminates():
     alg = Algebra(2)
     f = free_as_vectorized(FreeEModule(alg, (0,)))
-    win = minimal_free_resolution(f, 5)
+    win = module_resolution(f, 5)
     assert win.terminated
     assert win.betti_table().entries == {(0, 0): 1}
 
@@ -31,7 +32,7 @@ def test_free_module_resolution_terminates():
 def test_residue_field_betti_n1():
     alg = Algebra(1)
     k = residue_field(alg)
-    win = minimal_free_resolution(k, 6)
+    win = module_resolution(k, 6)
     bt = win.betti_table()
     for i in range(7):
         assert bt.get(i, -i) == i + 1
@@ -43,7 +44,7 @@ def test_quadric_quotient_rows_l3():
     alg = Algebra(5)
     q = parse_element(alg, "e0*e1 + e2*e3 + e4*e5")
     m = quotient_by(alg, [q])
-    win = minimal_free_resolution(m, 3)
+    win = module_resolution(m, 3)
     bt = win.betti_table()
     rows = {i: {row for ii, _, row, _ in bt.records() if ii == i} for i in range(4)}
     assert rows == {0: {0}, 1: {-1}, 2: {-3}, 3: {-3}}
@@ -62,7 +63,7 @@ def test_betti_cartan_small_characteristic():
     # divided-power basis keeps the oracle exact over GF(2)
     alg = Algebra(1, 2)
     k = residue_field(alg)
-    win = minimal_free_resolution(k, 5)
+    win = module_resolution(k, 5)
     bt = win.betti_table()
     for i in range(6):
         assert CartanScanner(k).betti(i, -i) == bt.get(i, -i) == i + 1
@@ -70,7 +71,7 @@ def test_betti_cartan_small_characteristic():
 
 def test_cross_oracle_on_corpus(small_corpus):
     for m in small_corpus[:12]:
-        win = minimal_free_resolution(m, 4)
+        win = module_resolution(m, 4)
         bt = win.betti_table()
         sc = CartanScanner(m)
         lo, hi = m.support()
@@ -82,20 +83,20 @@ def test_cross_oracle_on_corpus(small_corpus):
 def test_regularity_examples():
     alg1 = Algebra(1)
     m1 = quotient_by(alg1, [parse_element(alg1, "e0*e1")])
-    r = regularity(m1)
+    r = module_regularity(m1)
     assert (r.value, r.certified) == (-1, True)
     f = free_as_vectorized(FreeEModule(alg1, (0,)))
-    r = regularity(f)
+    r = module_regularity(f)
     assert (r.value, r.certified) == (0, True)
     alg3 = Algebra(3)
     m2 = quotient_by(alg3, [parse_element(alg3, "e0*e1 + e2*e3")])
-    r = regularity(m2)
+    r = module_regularity(m2)
     assert (r.value, r.certified) == (-2, True)
 
 
 def test_regularity_top_rows_non_increasing(small_corpus):
     for m in small_corpus[:10]:
-        r = regularity(m, max_steps=12)
+        r = module_regularity(m, max_steps=12)
         assert all(a >= b for a, b in zip(r.top_rows, r.top_rows[1:]))
 
 
@@ -103,7 +104,7 @@ def test_regularity_zero_module_rejected():
     alg = Algebra(1)
     from exttate.efree import VectorizedModule
     with pytest.raises(DomainError):
-        regularity(VectorizedModule(alg, {}, {}))
+        module_regularity(VectorizedModule(alg, {}, {}))
 
 
 def test_regularity_rejects_stab_window_below_one():
@@ -111,29 +112,29 @@ def test_regularity_rejects_stab_window_below_one():
     m = quotient_by(alg, [parse_element(alg, "e0*e1")])
     for w in (0, -1):
         with pytest.raises(DomainError):
-            regularity(m, stab_window=w)
-    assert regularity(m, stab_window=1).certified
+            module_regularity(m, stab_window=w)
+    assert module_regularity(m, stab_window=1).certified
 
 
 def test_regularity_rejects_negative_max_steps():
     alg = Algebra(1)
     m = quotient_by(alg, [parse_element(alg, "e0*e1")])
     with pytest.raises(DomainError):
-        regularity(m, max_steps=-1)
-    r = regularity(m, max_steps=0)
+        module_regularity(m, max_steps=-1)
+    r = module_regularity(m, max_steps=0)
     assert (r.steps, r.top_rows) == (0, [0]) and not r.certified
 
 
 def test_regularity_stop_below():
     alg1 = Algebra(1)
     m1 = quotient_by(alg1, [parse_element(alg1, "e0*e1")])
-    r = regularity(m1, stop_below=0)
+    r = module_regularity(m1, stop_below=0)
     assert r.truncated_below and r.value < 0
 
 
 def test_generator_degree_descent(small_corpus):
     for m in small_corpus[:8]:
-        win = minimal_free_resolution(m, 5)
+        win = module_resolution(m, 5)
         for a, b in zip(win.frees, win.frees[1:]):
             if a.gen_degrees and b.gen_degrees:
                 assert max(b.gen_degrees) <= max(a.gen_degrees) - 1
@@ -142,12 +143,12 @@ def test_generator_degree_descent(small_corpus):
 def test_alpha_free_and_residue_field():
     alg = Algebra(1)
     f = free_as_vectorized(FreeEModule(alg, (0,)))
-    reg = regularity(f)
+    reg = module_regularity(f)
     assert alpha(CartanScanner(f), 0, reg) == 1
     for k in range(-3, 0):
         assert alpha(CartanScanner(f), k, reg) == 0
     k_mod = residue_field(alg)
-    regk = regularity(k_mod)
+    regk = module_regularity(k_mod)
     for i in range(0, 4):
         assert alpha(CartanScanner(k_mod), -i, regk) == (-1) ** i * (i + 1)
 
@@ -155,18 +156,18 @@ def test_alpha_free_and_residue_field():
 def test_alpha_hilbert_identity_hand_values():
     alg = Algebra(1)
     k_mod = residue_field(alg)
-    reg = regularity(k_mod)
+    reg = module_regularity(k_mod)
     assert alpha_hilbert_rhs(CartanScanner(k_mod), 0, reg) == 1
     assert alpha_hilbert_rhs(CartanScanner(k_mod), -1, reg) == 0
     f = free_as_vectorized(FreeEModule(Algebra(3), (0,)))
-    regf = regularity(f)
+    regf = module_regularity(f)
     assert alpha_hilbert_rhs(CartanScanner(f), -1, regf) == 4  # n+1
 
 
 def test_alpha_requires_certified_regularity():
     alg = Algebra(3)
     m = quotient_by(alg, [parse_element(alg, "e0*e1 + e2*e3")])
-    weak = regularity(m, max_steps=1)
+    weak = module_regularity(m, max_steps=1)
     assert not weak.certified
     with pytest.raises(DomainError):
         alpha(CartanScanner(m), 0, weak)
@@ -174,7 +175,7 @@ def test_alpha_requires_certified_regularity():
 
 def test_alpha_hilbert_identity_on_corpus():
     for m in module_corpus(8, seed=77, nmax=3):
-        reg = regularity(m)
+        reg = module_regularity(m)
         if not reg.certified:
             continue
         sc = CartanScanner(m)
@@ -201,7 +202,7 @@ def test_cone_extend_preserves_betti_and_alpha():
     for i in range(0, 5):
         for j in range(lo - i, hi - i + 1):
             assert sm.betti(i, j) == sc.betti(i, j), (i, j)
-    regm, regc = regularity(m), regularity(c)
+    regm, regc = module_regularity(m), module_regularity(c)
     assert regm.certified and regc.certified and regm.value == regc.value
     for k in range(lo, hi + 1):
         assert alpha(sm, k, regm) == alpha(sc, k, regc)
@@ -213,13 +214,62 @@ def test_resolver_betti_matches_cartan_property(phi):
     m = vectorize_coker(phi)
     if m.is_zero:
         return
-    bt = minimal_free_resolution(m, 3).betti_table()
+    bt = module_resolution(m, 3).betti_table()
     sc = CartanScanner(m)
     lo, hi = m.support()
     for i in range(4):
         for j in range(lo - i, hi - i + 1):
             assert sc.betti(i, j) == bt.get(i, j), (i, j)
     assert all(0 <= i <= 3 and lo - i <= j <= hi - i for i, j in bt.entries)
+
+
+@st.composite
+def redundant_presentations(draw):
+    """`small_graded_maps`, which have unit entries, with up to two source
+    columns appended that the others generate: a nonzero multiple of a
+    column, its product with a variable, or a zero column."""
+    phi = draw(small_graded_maps())
+    alg = phi.alg
+    src = list(phi.source.gen_degrees)
+    ent = dict(phi.entries)
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["multiple", "times a variable", "zero"]))
+        c = draw(st.integers(0, len(src) - 1))
+        column = {r: e for (r, k), e in ent.items() if k == c}
+        if kind == "multiple":
+            lam = draw(st.integers(1, alg.p - 1))
+            column = {r: e.scale(lam) for r, e in column.items()}
+            src.append(src[c])
+        elif kind == "times a variable":
+            var = ExtElement.variable(alg, draw(st.integers(0, alg.n)))
+            column = {r: e * var for r, e in column.items()}
+            src.append(src[c] - 1)
+        else:
+            column = {}
+            src.append(draw(st.integers(-alg.nvars, 1)))
+        ent.update({(r, len(src) - 1): e for r, e in column.items()})
+    return GradedMap(FreeEModule(alg, tuple(src)), phi.target, ent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(redundant_presentations())
+def test_presentation_betti_matches_module_path_property(phi):
+    """A presentation with unit entries and with dependent or zero columns,
+    pruned, resolves to the Betti table of its cokernel through step 3: that
+    of the module path, and of the Cartan strand.  A zero cokernel raises."""
+    m = vectorize_coker(phi)
+    if m.is_zero:
+        with pytest.raises(ZeroModuleError):
+            Resolver.of_presentation(phi)
+        return
+    table = minimal_free_resolution(phi, 3).betti_table()
+    got = {(i, j): v for (i, j), v in table.entries.items() if i <= 3}
+    assert got == module_resolution(m, 3).betti_table().entries
+    sc = CartanScanner(m)
+    lo, hi = m.support()
+    for i in range(4):
+        for j in range(lo - i, hi - i + 1):
+            assert sc.betti(i, j) == got.get((i, j), 0), (i, j)
 
 
 @settings(max_examples=100, deadline=None)
@@ -255,7 +305,7 @@ def test_no_step_builds_a_kernel_nothing_reads(monkeypatch):
     k_mod = residue_field(alg)
     for i in range(5):
         built.clear()
-        res = minimal_free_resolution(k_mod, i)
+        res = module_resolution(k_mod, i)
         assert len(res.frees) == i + 1 and not res.terminated
         assert len(built) == i
         # a kept step holds its own vectors, not views of a kernel basis
@@ -278,7 +328,7 @@ def test_free_modules_build_each_gather_once(monkeypatch):
 
     monkeypatch.setattr(FreeEModule, "action_nonzeros", recording)
     alg = Algebra(2)
-    minimal_free_resolution(residue_field(alg), 4)
+    module_resolution(residue_field(alg), 4)
     e0, e1 = (ExtElement.variable(alg, i) for i in range(2))
     phi = GradedMap(FreeEModule(alg, (-1, -1)), FreeEModule(alg, (0,)),
                     {(0, 0): e0, (0, 1): e1})
@@ -306,8 +356,8 @@ def test_incremental_extension_property(phi, a, b):
                            Resolver.of_kernel(phi).extend(a + b))
     m = vectorize_coker(phi)
     if not m.is_zero:
-        assert_same_resolution(Resolver(m).extend(a).extend(b),
-                               Resolver(m).extend(a + b))
+        assert_same_resolution(module_resolver(m).extend(a).extend(b),
+                               module_resolver(m).extend(a + b))
 
 
 def ambient_generators(alg, amb, ker):
@@ -331,7 +381,7 @@ def ambient_generators(alg, amb, ker):
 @given(small_graded_maps())
 def test_kernel_coordinate_generators_match_ambient_rule_property(phi):
     """Generators picked in kernel coordinates are the ones the ambient rule
-    picks, vector for vector, on every step of Resolver(module) and of
+    picks, vector for vector, on every step of the module path and of
     Resolver.of_kernel(phi)."""
     kernel_generators = eres._kernel_generators
     checked = []
@@ -348,7 +398,7 @@ def test_kernel_coordinate_generators_match_ambient_rule_property(phi):
         Resolver.of_kernel(phi).extend(3)
         m = vectorize_coker(phi)
         if not m.is_zero:
-            Resolver(m).extend(3)
+            module_resolver(m).extend(3)
     assert checked
 
 
@@ -381,7 +431,7 @@ def monomial_action_kernel(amb, f, gens):
 def test_cover_kernel_matches_monomial_action_rule_property(phi):
     """Every kernel a Resolver covers, built top down from nonzeros, is the one
     the whole-matrix products give, degree by degree: the kernel seed of
-    Resolver.of_kernel(phi), the module cover of Resolver(m) and every
+    Resolver.of_kernel(phi), the module cover of the module path and every
     syzygy step of both."""
     cover_kernel = eres._cover_kernel
     checked = []
@@ -400,7 +450,7 @@ def test_cover_kernel_matches_monomial_action_rule_property(phi):
         Resolver.of_kernel(phi).extend(3)
         m = vectorize_coker(phi)
         if not m.is_zero:
-            Resolver(m).extend(3)
+            module_resolver(m).extend(3)
     assert checked
 
 
@@ -442,7 +492,7 @@ def dense_cover_kernel(amb, f, gens):
 @given(small_graded_maps())
 def test_cover_kernel_matches_dense_cover_property(phi):
     """The kernels built from nonzeros equal the dense cover's field for
-    field, (n, free, vec, coord, val), on every step of Resolver(module),
+    field, (n, free, vec, coord, val), on every step of the module path,
     whose ambient is first a VectorizedModule, and of Resolver.of_kernel."""
     cover_kernel = eres._cover_kernel
     checked = []
@@ -461,7 +511,7 @@ def test_cover_kernel_matches_dense_cover_property(phi):
         Resolver.of_kernel(phi).extend(3)
         m = vectorize_coker(phi)
         if not m.is_zero:
-            Resolver(m).extend(3)
+            module_resolver(m).extend(3)
     assert checked
 
 
@@ -495,7 +545,7 @@ def test_generator_choice_eliminates_kernel_sized_stacks(monkeypatch):
 
     monkeypatch.setattr(gfp, "extend_column_basis", recording)
     alg = Algebra(2)
-    minimal_free_resolution(residue_field(alg), 4)
-    minimal_free_resolution(quotient_by(alg, [parse_element(alg, "e0*e1 + e2*e0")]), 4)
+    module_resolution(residue_field(alg), 4)
+    module_resolution(quotient_by(alg, [parse_element(alg, "e0*e1 + e2*e0")]), 4)
     assert shapes and any(count for _, _, count in shapes)
     assert all(rows <= nk for rows, nk, _ in shapes), shapes

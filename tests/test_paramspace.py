@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import module_regularity
 from exttate import efree, paramspace
 from exttate.cli import main
 from exttate.errors import DomainError
 from exttate.extalg import Algebra, ExtElement, parse_element
-from exttate.efree import FreeEModule, GradedMap
-from exttate.eres import CartanScanner, Resolver, regularity
+from exttate.efree import FreeEModule, GradedMap, vectorize_coker
+from exttate.eres import CartanScanner, Resolver
 from exttate.paramspace import (MatrixPoint, TypeVectors, census, degree_sequence,
                                 membership_X0, reconstruct, sample, z_membership)
 from exttate.tate import tate_from_point
@@ -129,7 +130,7 @@ def _two_socle_point(n=2, p=32003):
 
 def test_z_membership_witness_and_chain():
     pt = _two_socle_point()
-    m = pt.coker_dual()
+    m = vectorize_coker(pt.phi.dual())
     assert m.hilbert() == [1, 1]  # k in degree 0 and k in degree 1
     member, cert = membership_X0(pt)
     assert cert and not member  # stable top row is 1, not 0
@@ -142,7 +143,7 @@ def test_z_membership_witness_and_chain():
     for _ in range(6):
         pool.append(sample(TypeVectors((1, 1), (1, 1)), 3, rng, p=101))
     for x in pool:
-        sc = CartanScanner(x.coker_dual())
+        sc = CartanScanner(vectorize_coker(x.phi.dual()))
         flags = [z_membership(x, i) for i in (2, 3, 4)]
         assert flags == [any(sc.betti(i, j) for j in range(1 - i, 2 - i))
                          for i in (2, 3, 4)]
@@ -205,22 +206,29 @@ def test_census_saturation_small():
 @contextlib.contextmanager
 def module_path():
     """The census rule before the trial shared one resolution: membership on
-    Resolver(coker_dual()), the z-flags from a CartanScanner of the cokernel,
-    and a Tate window whose right half is resolved afresh."""
+    the module path of the vectorized coker(phi-dual), the z-flags from a
+    CartanScanner of that cokernel, and a Tate window whose right half is
+    resolved afresh."""
+    cokers = {}
     scanners = {}
 
+    def coker_dual(point):
+        if point not in cokers:
+            cokers[point] = vectorize_coker(point.phi.dual())
+        return cokers[point]
+
     def membership(point, stab_window=None):
-        m = point.coker_dual()
+        m = coker_dual(point)
         if m.is_zero:
             raise DomainError("cokernel of phi-dual is zero; degenerate point")
-        reg = regularity(m, stab_window=stab_window,
-                         max_steps=paramspace.MEMBERSHIP_MAX_STEPS, stop_below=0)
+        reg = module_regularity(m, stab_window=stab_window,
+                                max_steps=paramspace.MEMBERSHIP_MAX_STEPS, stop_below=0)
         if reg.truncated_below:
             return False, True
         return reg.value == 0, reg.certified
 
     def z(point, i):
-        sc = scanners.setdefault(point, CartanScanner(point.coker_dual()))
+        sc = scanners.setdefault(point, CartanScanner(coker_dual(point)))
         return any(sc.betti(i, j) for j in range(1 - i, point.tvec.s - i + 1))
 
     def window(phi, lo, hi, resolver=None):
@@ -282,8 +290,7 @@ def test_member_trial_resolves_coker_phi_dual_once(monkeypatch):
         seeds.append((phi.source.gen_degrees, phi.target.gen_degrees))
         return of_kernel(cls, phi)
 
-    for mod in (efree, paramspace):
-        monkeypatch.setattr(mod, "vectorize_coker", counted("vectorize_coker", vectorize))
+    monkeypatch.setattr(efree, "vectorize_coker", counted("vectorize_coker", vectorize))
     monkeypatch.setattr(CartanScanner, "_rank", counted("cartan", rank))
     monkeypatch.setattr(Resolver, "of_kernel", classmethod(seeded))
     rep = census(TypeVectors((1,), (2,)), 3, 1, (-3, 6), seed=0, p=101)
@@ -319,7 +326,9 @@ def test_fallback_trial_seeds_ker_phi_dual_once(monkeypatch):
     """A (1; 1,1) trial at n=2 has a phi-dual that is not a minimal
     presentation.  The cover of ker(phi-dual) on which that showed stays on
     the point, and the Tate window that then fails reads it: ker(phi-dual)
-    is seeded once, and ker(phi) never."""
+    is seeded once, and ker(phi) never.  The one other seed is that of the
+    pruned presentation, phi-dual without its zero column E(0), whose
+    resolution membership and the z-histogram read."""
     seeds = []
     of_kernel = Resolver.of_kernel.__func__
 
@@ -331,4 +340,4 @@ def test_fallback_trial_seeds_ker_phi_dual_once(monkeypatch):
     rep = census(TypeVectors((1,), (1, 1)), 2, 1, (-3, 6), seed=0, p=101)
     assert (rep["members"], rep["reconstructionFailures"]) == (1, 1)
     # phi : E(0) -> E(1) + E(0), so phi-dual : E(-1) + E(0) -> E(0)
-    assert seeds == [((-1, 0), (0,))]
+    assert seeds == [((-1, 0), (0,)), ((-1,), (0,))]

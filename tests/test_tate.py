@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import free_presentation, sliced_corpus
+from conftest import free_presentation, module_regularity, sliced_corpus
 from exttate.errors import DomainError
 from exttate.extalg import Algebra, parse_element
 from exttate.efree import FreeEModule, GradedMap, vectorize_coker
-from exttate.eres import regularity
 from exttate.smod import (PolyRing, SPresentation, extend_variable, parse_poly,
                           shift_grading, slice_presentation)
 from exttate.tate import (CohomologyTable, TateWindow, cohomology_table, descent,
@@ -83,7 +82,7 @@ def test_lemma_reg_bounds_on_window():
     win = tate_window(cubic_sliced(), -2, 2)
     for k in range(-2, 2):
         m = vectorize_coker(win.diff(k).dual())
-        reg = regularity(m)
+        reg = module_regularity(m)
         assert reg.certified and reg.value == -k, (k, reg)
 
 
