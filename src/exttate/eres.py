@@ -233,9 +233,10 @@ def _restrict(phi, entries, rows, cols):
 
 
 def _prune(phi):
-    """phi without unit entries, as Macaulay2's `prune` (Decker-Eisenbud): the
-    first unit lambda, at (r0, c0), drops row r0 and column c0 and entry(r, c)
-    -= entry(r, c0) * lambda^-1 * entry(r0, c), keeping coker(phi), until none is left."""
+    """phi without unit entries, as Macaulay2's `prune` (Decker-Eisenbud):
+    while one is left, the first unit lambda, at (r0, c0), drops row r0 and
+    column c0, and entry(r, c) -= entry(r, c0) * lambda^-1 * entry(r0, c),
+    which keeps coker(phi)."""
     while not phi.is_minimal():
         r0, c0 = min(k for k, e in phi.entries.items() if e.degree == 0)
         inv = pow(phi.entries[r0, c0].terms[0], -1, phi.alg.p)
@@ -299,12 +300,12 @@ class Resolver:
 
     @classmethod
     def of_presentation(cls, phi, res=None):
-        """Minimal free resolution of coker(phi): F_0 is the target of phi
-        `_prune`d (ZeroModuleError if that is 0), and the first cover of the
+        """Minimal free resolution of coker(phi).  F_0 is the target of phi
+        `_prune`d (ZeroModuleError if that is 0).  The first cover of the
         kernel is taken on `res`, a `Resolver.of_kernel(phi)` with no step
-        taken that the caller keeps (fresh if none or pruning changed phi).
-        It is returned with F_0 in front (F_{k+2} is its step k) if
-        `_kept_columns` keeps all; else `of_kernel` of those kept is."""
+        taken that the caller keeps (fresh if none or pruning changed phi);
+        if `_kept_columns` keeps every column, `res` is returned with F_0 in
+        front (F_{k+2} is its step k), else `of_kernel` of the kept ones is."""
         psi = _prune(phi)
         if not psi.target.rank:
             raise ZeroModuleError("cannot resolve the zero module")
@@ -351,8 +352,8 @@ class Resolver:
 
 
 def minimal_free_resolution(phi, i_max):
-    """`Resolver.of_presentation(phi)` holding F_0 .. F_{i_max} of coker(phi),
-    or more: it starts with three."""
+    """`Resolver.of_presentation(phi)` extended to hold F_0 .. F_{i_max} of
+    coker(phi); it may hold more, as it starts with up to three."""
     if i_max < 0:
         raise DomainError("need i_max >= 0")
     res = Resolver.of_presentation(phi)
