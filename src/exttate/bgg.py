@@ -11,7 +11,10 @@ multiplication maps back off a linear complex, and the same check on the
 module it returns rejects a composition that does not vanish; it is the
 round-trip oracle of the tests.
 Linear complexes and Tate windows share the base `FreeComplex`, and
-`graded_map_homology` reads the homology along a chain of its maps.
+`graded_map_homology` reads the homology along a chain of its maps: the
+dimension of each middle slice less the ranks of the two slices around
+it, each ranked once from its nonzeros (`GradedMap.slice_nonzeros`,
+`gfp.rank`), with no dense slice built.
 """
 
 import functools
@@ -118,15 +121,15 @@ def graded_map_homology(*maps):
     """Homology dimension at each junction of a chain of composable maps.
 
     Entry k of the returned list is the homology at the target of maps[k]
-    (the source of maps[k+1]); each slice matrix is ranked once, though
-    the interior maps take part in two junctions.
+    (the source of maps[k+1]); each slice is ranked once from its
+    nonzeros, though the interior maps take part in two junctions.
     """
     if len(maps) < 2:
         raise DomainError("homology needs at least two composable maps")
 
     @functools.cache
     def rank(k, d):
-        return gfp.rank(maps[k].slice_matrix(d), maps[k].alg.p)
+        return gfp.rank(*maps[k].slice_nonzeros(d), maps[k].alg.p)
 
     out = []
     for k in range(len(maps) - 1):

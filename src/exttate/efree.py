@@ -8,6 +8,16 @@ E-modules: a map sends gen_c to sum_r gen_r * entry[r][c], so composition
 is the usual matrix product with entries multiplied on the left of module
 coefficients.
 
+The slice of a GradedMap in degree d is assembled as its nonzeros
+(`slice_nonzeros`).  The terms of the entries are grouped once per map
+by (monomial, source generator degree), and a group's part of the slice
+is one broadcast of its block offsets against the nonzeros of the
+monomial's multiplication (`Algebra.left_mul_nonzeros`).  The Tate
+exactness check ranks these triplets (`bgg.graded_map_homology`) and the
+Resolver reads the generator images of a map off them
+(`eres._generator_vectors`); `slice_matrix` is their dense form, which
+only `vectorize_coker` and the tests read.
+
 Slice-level data (cokernels) is held in VectorizedModule: graded
 dimensions plus one GF(p) matrix per variable mapping slice d to d-1.
 A quotient slice k^amb / image is the pair (N, free) of `gfp.nullspace`
@@ -20,12 +30,13 @@ The `.emat` matrix format shares its parser skeleton, `parse_matrix_file`,
 with the `.smod` format of the S-side.
 """
 
+import functools
+
 import numpy as np
 
 from . import gfp
 from .errors import DomainError, ParseError
-from .extalg import (Algebra, ExtElement, format_element, from_coeff_vector,
-                     parse_element)
+from .extalg import Algebra, ExtElement, format_element, parse_element
 
 
 class FreeEModule:
@@ -90,15 +101,6 @@ class FreeEModule:
         out[rows, cols] = signs
         return out
 
-    def element_from_vector(self, d, vec):
-        """Slice-d coordinate vector -> list of exterior entries per generator."""
-        out = []
-        for r, g in enumerate(self.gen_degrees):
-            off = self.offsets(d)[r]
-            w = self.alg.dim(d - g)
-            out.append(from_coeff_vector(self.alg, d - g, vec[off:off + w]))
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, FreeEModule) and self.alg == other.alg
                 and self.gen_degrees == other.gen_degrees)
@@ -144,22 +146,45 @@ class GradedMap:
     def is_zero(self):
         return not self.entries
 
-    def slice_matrix(self, d):
-        """The induced GF(p) map from source slice d to target slice d."""
-        out = gfp.zeros(self.target.slice_dim(d), self.source.slice_dim(d))
-        ro = self.target.offsets(d)
-        co = self.source.offsets(d)
+    @functools.cached_property
+    def _term_groups(self):
+        """The terms of the entries grouped by (monomial mask, source
+        generator degree), each group as int64 arrays (row, column, coeff)."""
+        groups = {}
         for (r, c), e in self.entries.items():
-            gs = self.source.gen_degrees[c]
-            gt = self.target.gen_degrees[r]
-            sd = d - gs
-            if self.alg.dim(sd) == 0 or self.alg.dim(d - gt) == 0:
-                continue
-            block = gfp.zeros(self.alg.dim(d - gt), self.alg.dim(sd))
+            g = self.source.gen_degrees[c]
             for mask, coeff in e.terms.items():
-                block += self.alg.left_mul_matrix(mask, sd) * coeff
-            out[ro[r]:ro[r] + block.shape[0], co[c]:co[c] + block.shape[1]] = \
-                np.mod(block, self.alg.p)
+                groups.setdefault((mask, g), []).append((r, c, coeff))
+        return [(mask, g, *np.array(terms, dtype=np.int64).T)
+                for (mask, g), terms in groups.items()]
+
+    def slice_nonzeros(self, d):
+        """The induced GF(p) map from source slice d to target slice d, as
+        its nonzeros: int64 arrays (rows, cols, values).
+
+        A term coeff * m of entry (r, c), with gen c of degree g, sends the
+        basis of E_{d-g} in c's block as m does (`Algebra.left_mul_nonzeros`)
+        into r's block, so a group of `_term_groups` is one broadcast of
+        the block offsets against m's nonzeros.  No (row, column) pair
+        repeats: distinct entries fill disjoint blocks, and distinct masks
+        send a basis monomial to distinct monomials.
+        """
+        ro = np.array(self.target.offsets(d), dtype=np.int64)
+        co = np.array(self.source.offsets(d), dtype=np.int64)
+        p = self.alg.p
+        parts = [(np.zeros(0, dtype=np.int64),) * 3]
+        for mask, g, r, c, coeff in self._term_groups:
+            br, bc, bv = self.alg.left_mul_nonzeros(mask, d - g)
+            if br.size:
+                parts.append(((ro[r, None] + br).ravel(), (co[c, None] + bc).ravel(),
+                              (coeff[:, None] * bv % p).ravel()))
+        return tuple(np.concatenate(x) for x in zip(*parts))
+
+    def slice_matrix(self, d):
+        """`slice_nonzeros(d)` as a dense matrix."""
+        rows, cols, vals = self.slice_nonzeros(d)
+        out = gfp.zeros(self.target.slice_dim(d), self.source.slice_dim(d))
+        out[rows, cols] = vals
         return out
 
     def dual(self):

@@ -4,17 +4,18 @@ Two independent engines compute graded Betti numbers:
 
 * the resolution engine `Resolver`.  Its one step covers a submodule of
   an ambient free module by minimal generators, kept as (ambient,
-  generator vectors), and the next step covers the kernel of that cover,
-  built slice by slice from the nonzeros of the action (`_cover_kernel`).
-  It resolves the kernel of a GradedMap (`resolve_kernel_steps` turns
-  the steps into maps spliced onto its source) and the cokernel, from the
-  map as a presentation (`Resolver.of_presentation`): unit entries are
-  pruned by Schur complements and source columns that the others
-  generate are dropped.  beta_{i,j} = number of generators of F_i in
-  degree j.  No step builds a dense image, kernel basis or radical: a
-  kernel is kept as the nonzeros of its basis (`gfp.triplet_kernel`), the
-  pivot block with the identity on the free columns implied.  Generators
-  are chosen in kernel coordinates, among dim ker_d unit vectors instead of
+  generator vectors) with each vector as its nonzeros, and the next step
+  covers the kernel of that cover, built slice by slice from the
+  nonzeros of the action (`_cover_kernel`).  It resolves the kernel of a
+  GradedMap (`resolve_kernel_steps` turns the steps into maps spliced
+  onto its source) and the cokernel, from the map as a presentation
+  (`Resolver.of_presentation`): unit entries are pruned by Schur
+  complements and source columns that the others generate are dropped.
+  beta_{i,j} = number of generators of F_i in degree j.  No step builds
+  a dense image, kernel basis, radical or generator vector: a kernel is
+  kept as the nonzeros of its basis (`gfp.triplet_kernel`), the pivot
+  block with the identity on the free columns implied.  Generators are
+  chosen in kernel coordinates, among dim ker_d unit vectors instead of
   dim F_d: each e_i maps ker_{d+1} into ker_d, greedy choices do not
   change under an injective linear map, and the nonzeros of the radical
   come straight from those of ker_{d+1} through the nonzeros of the
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import gfp
 from .errors import DomainError, ZeroModuleError
-from .extalg import Algebra
+from .extalg import Algebra, ExtElement
 from .efree import FreeEModule, GradedMap, VectorizedModule
 from .smod import exponent_vectors
 
@@ -104,7 +105,7 @@ def _act(amb, i, d, vec, coord, val):
 def _cover_kernel(amb, f, gens):
     """Per-degree kernels, in the form of `gfp.kernel_nonzeros`, of the map
     f -> amb sending the generators of the free module f to the vectors of
-    `gens`, (degree, ambient vector) pairs in f's generator order.
+    `gens`, (degree, coords, vals) nonzeros in f's generator order.
 
     The image of a slice, `above`, is kept as (f column, ambient row,
     value) arrays and built top down.  Below its generator's degree, a
@@ -126,10 +127,9 @@ def _cover_kernel(amb, f, gens):
             above = None
             continue
         parts = []
-        for c, (g, v) in enumerate(gens):
+        for c, (g, coords, vals) in enumerate(gens):
             if g == d:
-                r = np.flatnonzero(v)
-                parts.append((np.full(r.size, f.offsets(d)[c]), r, v[r].astype(np.int64)))
+                parts.append((np.full(coords.size, f.offsets(d)[c]), coords, vals))
         if above is not None:
             col, row, val = above
             done = np.zeros(n, dtype=bool)
@@ -161,8 +161,8 @@ def _kernel_generators(alg, amb, ker):
     coordinates (`gfp.kernel_nonzeros`): basis vector k has 1 at free[k] and
     0 at the other free coordinates.  In each degree (top down) the basis
     vectors extending the radical, the span of the e_i images of K_{d+1},
-    are the generators; each is returned as (degree, ambient vector), a
-    fresh array.
+    are the generators; each is returned as its nonzeros (degree, coords,
+    vals), int64 arrays with coords increasing.
 
     The choice is made in kernel coordinates.  Every e_i maps K_{d+1} into
     K_d, so a radical vector v lies in K_d and has coordinates v[free]
@@ -195,27 +195,40 @@ def _kernel_generators(alg, amb, ker):
                                              len(free), alg.p)
         for c in chosen:
             lo, hi = np.searchsorted(vec, [c, c + 1])
-            v = np.zeros(n)
-            v[coord[lo:hi]] = val[lo:hi]
-            gens.append((d, v))
+            order = np.argsort(coord[lo:hi]) + lo
+            gens.append((d, coord[order], val[order].astype(np.int64)))
     return gens
 
 
 def _generator_vectors(phi):
-    """The image of each source generator of phi, as (degree, target vector)
-    pairs in generator order: generator c of degree g goes to column
-    offsets(g)[c] of phi.slice_matrix(g), one slice per distinct degree."""
+    """The image of each source generator of phi, as (degree, coords, vals)
+    nonzeros in generator order: generator c of degree g goes to column
+    offsets(g)[c] of phi.slice_nonzeros(g), one slice per distinct degree."""
     src = phi.source
-    slices = {g: phi.slice_matrix(g) for g in set(src.gen_degrees)}
-    return [(g, slices[g][:, src.offsets(g)[c]]) for c, g in enumerate(src.gen_degrees)]
+    slices = {g: phi.slice_nonzeros(g) for g in set(src.gen_degrees)}
+    out = []
+    for c, g in enumerate(src.gen_degrees):
+        rows, cols, vals = slices[g]
+        at = np.flatnonzero(cols == src.offsets(g)[c])
+        at = at[np.argsort(rows[at])]
+        out.append((g, rows[at], vals[at]))
+    return out
 
 
 def _unit_parts(amb, gens):
     """The unit entries of the map into amb of each generator vector of a degree
     that amb's generators have: (those generators, its E_0 coordinates on them)."""
     at = {h: [r for r, g in enumerate(amb.gen_degrees) if g == h] for h in set(amb.gen_degrees)}
-    offsets = {h: [amb.offsets(h)[r] for r in rs] for h, rs in at.items()}
-    return [(at[g], v[offsets[g]]) for g, v in gens if g in at]
+    out = []
+    for g, coords, vals in gens:
+        if g in at:
+            offsets = np.array([amb.offsets(g)[r] for r in at[g]])
+            units = np.zeros(len(offsets), dtype=np.int64)
+            k = np.searchsorted(offsets, coords)
+            hit = offsets[np.minimum(k, len(offsets) - 1)] == coords
+            units[k[hit]] = vals[hit]
+            out.append((at[g], units))
+    return out
 
 
 def _has_unit(amb, gens):
@@ -260,10 +273,16 @@ def _kept_columns(src, gens):
 
 
 def _map_from_ambient_vectors(amb, gens):
-    """The GradedMap sending new generators to the given ambient vectors."""
-    entries = {(r, c): el for c, (g, w) in enumerate(gens)
-               for r, el in enumerate(amb.element_from_vector(g, w))}
-    return GradedMap(FreeEModule(amb.alg, tuple(g for g, _ in gens)), amb, entries)
+    """The GradedMap sending new generators to the given ambient vectors,
+    (degree, coords, vals) nonzeros."""
+    entries = {}
+    for c, (g, coords, vals) in enumerate(gens):
+        offsets = np.array(amb.offsets(g))
+        owner = np.searchsorted(offsets, coords, side="right") - 1
+        for r, x, v in zip(owner.tolist(), (coords - offsets[owner]).tolist(), vals.tolist()):
+            entries.setdefault((r, c), {})[amb.alg.basis(g - amb.gen_degrees[r])[x]] = v
+    return GradedMap(FreeEModule(amb.alg, tuple(g for g, *_ in gens)), amb,
+                     {rc: ExtElement(amb.alg, terms) for rc, terms in entries.items()})
 
 
 class Resolver:
@@ -331,7 +350,7 @@ class Resolver:
         # lies in m*F, so a unit is a bug.
         if self.steps and _has_unit(amb, gens):
             raise DomainError("internal: non-minimal syzygy step")
-        f = FreeEModule(amb.alg, tuple(g for g, _ in gens))
+        f = FreeEModule(amb.alg, tuple(g for g, *_ in gens))
         self.steps.append((amb, gens))
         self.frees.append(f)
         self._amb = f
@@ -417,8 +436,9 @@ class CartanScanner:
             if i <= 0 or self.m.dim(d) == 0 or self.m.dim(d - 1) == 0:
                 self._ranks[key] = 0
             else:
-                self._ranks[key] = gfp.rank(
-                    _cartan_differential(self.m, i, d), self.m.alg.p)
+                D = _cartan_differential(self.m, i, d)
+                r, c = np.nonzero(D)
+                self._ranks[key] = gfp.rank(r, c, D[r, c], self.m.alg.p)
         return self._ranks[key]
 
     def betti(self, i, j):

@@ -84,20 +84,32 @@ class Algebra:
         return rows, cols, mat[rows, cols]
 
     @functools.cache
-    def left_mul_matrix(self, mask, d):
-        """Matrix of x -> m*x (m the monomial `mask`) from E_d to E_{d-deg}."""
-        k = bin(mask).count("1")
-        tgt_index = self.index(d - k)
-        mat = gfp.zeros(self.dim(d - k), self.dim(d))
+    def left_mul_nonzeros(self, mask, d):
+        """The nonzeros of left_mul_matrix(mask, d) as read-only int64 arrays
+        (rows, cols, values), sorted by column: m times a basis monomial
+        is 0 or plus or minus one basis monomial, distinct for distinct
+        basis monomials."""
+        tgt_index = self.index(d - bin(mask).count("1"))
+        rows, cols, vals = [], [], []
         for c, m in enumerate(self.basis(d)):
             res = mono_mul(mask, m)
-            if res is None:
-                continue
-            sgn, prod = res
-            mat[tgt_index[prod], c] = sgn % self.p
+            if res is not None:
+                rows.append(tgt_index[res[1]])
+                cols.append(c)
+                vals.append(res[0] % self.p)
+        arrays = tuple(np.array(x, dtype=np.int64) for x in (rows, cols, vals))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    @functools.cache
+    def left_mul_matrix(self, mask, d):
+        """Matrix of x -> m*x (m the monomial `mask`) from E_d to E_{d-deg}."""
+        rows, cols, vals = self.left_mul_nonzeros(mask, d)
+        mat = gfp.zeros(self.dim(d - bin(mask).count("1")), self.dim(d))
+        mat[rows, cols] = vals
         mat.flags.writeable = False
         return mat
-
 
 def mask_degree(mask):
     return -bin(mask).count("1")

@@ -1,11 +1,17 @@
 """Exact linear algebra over the prime field GF(p).
 
-Matrices are numpy float64 arrays whose entries are integers in [0, p).
-`matmul` is exact as long as (p-1)^2 < 2^53: every product of two
+Dense matrices are numpy float64 arrays whose entries are integers in
+[0, p).  `matmul` is exact as long as (p-1)^2 < 2^53: every product of two
 residues is then an integer that float64 represents exactly, and matmul
 chunks its inner dimension so accumulated dot products stay below 2^53 as
 well (Dumas-Giorgi-Pernet, ACM TOMS 2008).  `check_prime` enforces the
-bound; the largest accepted prime is 94,906,249.
+bound; the largest accepted prime is 94,906,249.  The float64 form is
+left where the package holds dense slices: `matmul` in the commutativity
+checks (`VectorizedModule.check`, `SlicedModule.check_commutativity`) and
+in `vectorize_coker`; `kernel_nonzeros` and `nullspace` on the quotient
+slices of `smod.slice_presentation` and `vectorize_coker`; `echelon` and
+`rref` on the small unit matrix of `eres._kept_columns` and in
+`tate.descent`.
 
 Elimination is Gauss-Jordan on sparse rows: the lever of structured
 Gaussian elimination (Faugere-Lachartre, PASCO 2010), taken to single
@@ -25,6 +31,22 @@ cohomology of the twisted cubic and the elliptic quartic, two (1,1; 1,1)
 and (1; 2) censuses at n=4, `mccullough --ell 2` and ell=3 `betti
 --direct --imax 4`, none with both sides at least 32 ended more than
 13.6% dense.
+
+`rank` needs neither the back-substitution nor a dense form: it takes
+triplets and counts the pivots of `_insert_rows`, which are those of the
+reduced form.  Every matrix the package ranks is assembled as triplets:
+the slices of a `GradedMap` (`slice_nonzeros`), which
+`bgg.graded_map_homology` ranks for every Tate exactness check, the
+Koszul differentials of `smod.koszul_rank`, and the Cartan differentials
+of `eres.CartanScanner`, still built dense and passed as their nonzeros.
+Ranking them through `echelon`, which wrote the reduced form back into a
+float64 copy, `cohomology --format json --window -4..6` took 17-18, 43-47,
+29-31 and 10 ms on the plane cubic, elliptic quartic, twisted cubic and
+coker diag(x0, x1) inputs of the benchmark; from triplets it takes 13-14,
+29-30, 21-22 and 8-9 ms (in-process medians of 10 runs, three alternated
+rounds, one thread, shared 2-core VM).  The smooth quadric in P^5, whose
+dense Koszul differentials took the run past 7 GB, now takes about 5 s
+at 455 MB.
 
 Callers read only canonical results, which do not depend on how the
 elimination ran: `rank`; the reduced row echelon form from `rref` and
@@ -242,9 +264,18 @@ def rref(a, p):
     return echelon(a, p)
 
 
-def rank(a, p):
-    """Rank mod p; a matrix with no rows or no columns has rank 0."""
-    return len(echelon(a, p)[1])
+def rank(rows, cols, vals, p):
+    """Rank mod p of the matrix whose nonzeros are the integer arrays
+    (rows, cols, vals), each (row, column) pair at most once: the number
+    of pivots of `_insert_rows`, with no back-substitution and no dense
+    form.  Entries that are 0 mod p are dropped, and no triplets give 0.
+    A dense matrix a passes `np.nonzero(a)` and the values there."""
+    vals = np.asarray(vals, dtype=np.int64) % p
+    rows = np.asarray(rows)
+    keep = np.flatnonzero(vals)
+    order = keep[np.argsort(rows[keep], kind="stable")]
+    return len(_insert_rows(rows[order], np.asarray(cols)[order].tolist(),
+                            vals[order].tolist(), p))
 
 
 def kernel_nonzeros(a, p):

@@ -11,7 +11,9 @@ basis monomial of S_d to exactly one of S_{d+|a|}, so relation images and
 the x_i actions are written and read by position, with no shift matrix.
 
 Regularity (`reg_S`) comes from one scan of the Koszul Betti diagonals;
-each module ranks every Koszul differential once.  The monomial bases of
+each module ranks every Koszul differential once, from its nonzeros: the
+x_t actions' nonzeros placed by the wedge index maps (`_wedge_faces`),
+with no dense differential built.  The monomial bases of
 S and their index maps are cached per (n, p) and shared by every
 PolyRing(n, p).
 """
@@ -216,8 +218,7 @@ class SlicedModule:
         """Rank of the Koszul differential out of wedge^i V (x) M_d, memoized."""
         key = (i, d)
         if key not in self._koszul_ranks:
-            D = _koszul_differential(self, i, d)
-            self._koszul_ranks[key] = gfp.rank(D, self.ring.p)
+            self._koszul_ranks[key] = gfp.rank(*_koszul_nonzeros(self, i, d), self.ring.p)
         return self._koszul_ranks[key]
 
     def check_commutativity(self):
@@ -322,26 +323,39 @@ def _derived(m, out):
 # Koszul Betti numbers and regularity
 
 
-def _koszul_differential(m, i, d):
-    """wedge^i V (x) M_d -> wedge^{i-1} V (x) M_{d+1}."""
-    nv = m.ring.nvars
-    src = tuple(combinations(range(nv), i))
-    tgt = tuple(combinations(range(nv), i - 1))
-    tgt_pos = {s: k for k, s in enumerate(tgt)}
-    md, md1 = m.dim(d), m.dim(d + 1)
-    D = gfp.zeros(md1 * len(tgt), md * len(src))
-    if md == 0 or md1 == 0:
-        return D
-    p = m.ring.p
-    for col, subset in enumerate(src):
+@functools.cache
+def _wedge_faces(nv, i):
+    """The faces of wedge^i V -> wedge^{i-1} V for each variable t: int64
+    arrays of the i-subsets S holding t, the (i-1)-subset S minus t and
+    whether t sits at an odd place of S (sign -1), as indices in
+    `combinations` order."""
+    tgt_pos = {s: k for k, s in enumerate(combinations(range(nv), i - 1))}
+    faces = [([], [], []) for _ in range(nv)]
+    for col, subset in enumerate(combinations(range(nv), i)):
         for k, t in enumerate(subset):
-            rest = subset[:k] + subset[k + 1:]
-            row = tgt_pos[rest]
-            sgn = 1 if k % 2 == 0 else p - 1
-            blk = m.action(t, d)
-            D[row * md1:(row + 1) * md1, col * md:(col + 1) * md] = \
-                np.mod(blk * sgn, p)
-    return D
+            cols, rows, odd = faces[t]
+            cols.append(col)
+            rows.append(tgt_pos[subset[:k] + subset[k + 1:]])
+            odd.append(k % 2)
+    return [tuple(np.array(x, dtype=np.int64) for x in face) for face in faces]
+
+
+def _koszul_nonzeros(m, i, d):
+    """The nonzeros (rows, cols, values) of the Koszul differential
+    wedge^i V (x) M_d -> wedge^{i-1} V (x) M_{d+1}: the x_t action's
+    nonzeros, signed, in the block (S minus t, S) of each face of
+    `_wedge_faces`.  Blocks are disjoint, so no (row, column) repeats."""
+    md, md1 = m.dim(d), m.dim(d + 1)
+    p = m.ring.p
+    parts = [(np.zeros(0, dtype=np.int64),) * 3]
+    for t, (cols, rows, odd) in enumerate(_wedge_faces(m.ring.nvars, i)):
+        act = m.action(t, d)
+        r, c = np.nonzero(act)
+        if r.size and cols.size:
+            v = act[r, c].astype(np.int64)
+            parts.append(((rows[:, None] * md1 + r).ravel(), (cols[:, None] * md + c).ravel(),
+                          np.where(odd[:, None] == 1, p - v, v).ravel()))
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def koszul_betti(m, i, j):

@@ -1,5 +1,7 @@
 """Shared helpers: small seeded module corpus used across the test suite."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -111,13 +113,32 @@ def small_graded_maps(draw):
     tgt = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
     src = draw(st.lists(st.integers(-alg.nvars, 1), min_size=1, max_size=3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_graded_map(FreeEModule(alg, tuple(src)), FreeEModule(alg, tuple(tgt)), rng)
+
+
+def random_graded_map(source, target, rng, fill=1.0):
+    """A random homogeneous map: each slot of a possible degree holds, with
+    probability `fill`, a uniform element of E of that degree."""
+    alg = source.alg
     entries = {}
-    for r, gt in enumerate(tgt):
-        for c, gs in enumerate(src):
-            d = gs - gt
-            if -alg.nvars <= d <= 0:
-                entries[(r, c)] = random_element(alg, d, rng)
-    return GradedMap(FreeEModule(alg, tuple(src)), FreeEModule(alg, tuple(tgt)), entries)
+    for r, gt in enumerate(target.gen_degrees):
+        for c, gs in enumerate(source.gen_degrees):
+            if -alg.nvars <= gs - gt <= 0 and (fill == 1.0 or rng.random() < fill):
+                entries[(r, c)] = random_element(alg, gs - gt, rng)
+    return GradedMap(source, target, entries)
+
+
+@st.composite
+def mixed_graded_maps(draw):
+    """Random homogeneous maps over n <= 3 and p in {2, 3, 101} with up to
+    four source and three target generators of mixed degrees, so that
+    entries of several terms and of several degrees meet in one slice."""
+    alg = Algebra(draw(st.integers(0, 3)), draw(st.sampled_from([2, 3, 101])))
+    degrees = st.lists(st.integers(-2, 2), min_size=1, max_size=4)
+    src = FreeEModule(alg, tuple(draw(degrees)))
+    tgt = FreeEModule(alg, tuple(draw(degrees))[:3])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_graded_map(src, tgt, rng, fill=draw(st.sampled_from([0.5, 1.0])))
 
 
 def quotient_slice_oracle(image_cols, amb_dim, p):
@@ -149,6 +170,71 @@ def dense_extend_column_basis(base, cand, p):
     w = base.shape[1]
     piv = gfp.echelon(np.hstack([base, cand]), p)[1]
     return [c - w for c in piv if c >= w]
+
+
+def dense_rank(a, p):
+    """`gfp.rank` of a dense matrix, through its nonzeros."""
+    r, c = np.nonzero(a)
+    return gfp.rank(r, c, np.asarray(a)[r, c], p)
+
+
+def dense_slice_matrix(f, d):
+    """The block-by-block dense assembly that `GradedMap.slice_nonzeros`
+    replaced, kept as its oracle: each entry's block is the sum of its
+    terms' `left_mul_matrix` times the coefficient."""
+    alg = f.alg
+    out = gfp.zeros(f.target.slice_dim(d), f.source.slice_dim(d))
+    ro = f.target.offsets(d)
+    co = f.source.offsets(d)
+    for (r, c), e in f.entries.items():
+        sd = d - f.source.gen_degrees[c]
+        td = d - f.target.gen_degrees[r]
+        if alg.dim(sd) == 0 or alg.dim(td) == 0:
+            continue
+        block = gfp.zeros(alg.dim(td), alg.dim(sd))
+        for mask, coeff in e.terms.items():
+            block += alg.left_mul_matrix(mask, sd) * coeff
+        out[ro[r]:ro[r] + block.shape[0], co[c]:co[c] + block.shape[1]] = np.mod(block, alg.p)
+    return out
+
+
+def dense_koszul_differential(m, i, d):
+    """wedge^i V (x) M_d -> wedge^{i-1} V (x) M_{d+1}, filled densely block by
+    block: the builder that `smod._koszul_nonzeros` replaced, kept as its
+    oracle."""
+    nv = m.ring.nvars
+    src = tuple(combinations(range(nv), i))
+    tgt_pos = {s: k for k, s in enumerate(combinations(range(nv), i - 1))}
+    md, md1 = m.dim(d), m.dim(d + 1)
+    D = gfp.zeros(md1 * len(tgt_pos), md * len(src))
+    if md == 0 or md1 == 0:
+        return D
+    p = m.ring.p
+    for col, subset in enumerate(src):
+        for k, t in enumerate(subset):
+            row = tgt_pos[subset[:k] + subset[k + 1:]]
+            sgn = 1 if k % 2 == 0 else p - 1
+            D[row * md1:(row + 1) * md1, col * md:(col + 1) * md] = \
+                np.mod(m.action(t, d) * sgn, p)
+    return D
+
+
+def sorted_nonzeros(rows, cols, vals):
+    """Triplets in (row, column) order, for comparing two assemblies."""
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], np.asarray(vals)[order]
+
+
+def dense_generators(amb, gens):
+    """Resolver generators, kept as (degree, coords, vals) nonzeros, as
+    (degree, dense ambient vector) pairs."""
+    dim = amb.slice_dim if isinstance(amb, FreeEModule) else amb.dim
+    out = []
+    for g, coords, vals in gens:
+        v = np.zeros(dim(g))
+        v[coords] = vals
+        out.append((g, v))
+    return out
 
 
 def dense_kernel(kernel):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import free_presentation, random_sliced_module
+from conftest import (dense_rank, dense_slice_matrix, free_presentation, random_graded_map,
+                      random_sliced_module)
 from exttate.cli import main
 from exttate.errors import DomainError
 from exttate.bgg import bgg_L_read, bgg_R, graded_map_homology
@@ -145,3 +146,47 @@ def test_exactness_defect_zero_differentials():
     z = SlicedModule(ring, (0, 2), dims, {})
     cx = bgg_R(z)
     assert graded_map_homology(cx.diff(0), cx.diff(1))[0] > 0
+
+
+def dense_homology(maps):
+    """`graded_map_homology` read off the dense slice assembly and dense
+    ranks: at each junction, the middle slice dimension less the ranks of
+    the two maps' slices, summed over the degrees of the middle module."""
+    p = maps[0].alg.p
+    out = []
+    for f, g in zip(maps, maps[1:]):
+        lo, hi = g.source.degree_range()
+        out.append(sum(g.source.slice_dim(d) - dense_rank(dense_slice_matrix(g, d), p)
+                       - dense_rank(dense_slice_matrix(f, d), p) for d in range(lo, hi + 1)))
+    return out
+
+
+@st.composite
+def composable_chains(draw):
+    """Three or four random composable maps over n <= 2 and p in {2, 3, 101}
+    between free modules of mixed generator degrees; they seldom compose
+    to zero, so the defects are mostly nonzero."""
+    alg = Algebra(draw(st.integers(0, 2)), draw(st.sampled_from([2, 3, 101])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mods = [FreeEModule(alg, tuple(draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3))))
+            for _ in range(draw(st.integers(4, 5)))]
+    return [random_graded_map(f, g, rng, fill=0.7) for f, g in zip(mods, mods[1:])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(composable_chains())
+def test_homology_of_random_chains_matches_dense_ranks_property(maps):
+    assert graded_map_homology(*maps) == dense_homology(maps)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2), st.sampled_from([2, 3, 101]), st.integers(0, 2 ** 32 - 1))
+def test_homology_of_bgg_complexes_matches_dense_ranks_property(n, p, seed):
+    """The linear complex of a random sliced module is a complex; its
+    defects sit at the low positions, below the module's regularity, and
+    about 60% of these modules have one."""
+    cx = bgg_R(random_sliced_module(np.random.default_rng(seed), n, p))
+    maps = [cx.diff(i) for i in range(cx.lo, cx.hi)]
+    got = graded_map_homology(*maps)
+    assert got == dense_homology(maps)
+    assert all(v >= 0 for v in got)

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +70,16 @@ def test_cohomology_csv(capsys, cubic_file):
     assert lines[0] == "i,j,k,value"
     rows = {tuple(map(int, ln.split(",")[:2])): int(ln.split(",")[3]) for ln in lines[1:]}
     assert rows[(1, -3)] == 9 and rows[(0, 2)] == 6
+
+
+def test_cohomology_below_regularity_reports_the_defect(capsys):
+    """Started at 0, below the plane cubic's regularity 2, the window's BGG
+    part is not exact; the check reports the position and the defect."""
+    path = Path(__file__).parents[1] / "bench" / "inputs" / "plane_cubic.smod"
+    code, out, err = run(capsys, "cohomology", "--module", str(path), "--window", "-4..6",
+                         "--start", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: Tate window not exact at position 2 (defect 1)\n"
 
 
 def test_malformed_module_exits_2(capsys, tmp_path):
@@ -388,18 +399,23 @@ QUADRIC_L3_DIRECT_BETTI_6 = """row\\i 0 1  2  3   4   5    6
 """
 
 
-def _capped_quadric_betti(tmp_path, cap, *argv):
-    """stdout of `betti --ematrix <ell=3 quadric> argv` in a child process
-    whose address space is capped at `cap` bytes; fails on a nonzero exit."""
-    path = tmp_path / "quadric_l3.emat"
-    path.write_text(QUADRIC_L3)
+def _capped_cli(cap, *argv):
+    """stdout of the command line argv in a child process whose address
+    space is capped at `cap` bytes; fails on a nonzero exit."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.path.dirname(os.path.dirname(exttate.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "exttate.cli", "betti", "--ematrix", str(path),
-                           *argv], capture_output=True, text=True, timeout=300, env=env,
+    proc = subprocess.run([sys.executable, "-m", "exttate.cli", *argv], capture_output=True,
+                          text=True, timeout=300, env=env,
                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _capped_quadric_betti(tmp_path, cap, *argv):
+    """stdout of `betti --ematrix <ell=3 quadric> argv` under `_capped_cli`."""
+    path = tmp_path / "quadric_l3.emat"
+    path.write_text(QUADRIC_L3)
+    return _capped_cli(cap, "betti", "--ematrix", str(path), *argv)
 
 
 def test_quadric_betti_to_step_5_fits_in_one_gib(tmp_path):
@@ -418,6 +434,13 @@ def test_quadric_direct_betti_to_step_6_fits_in_512_mib(tmp_path):
     built from nonzeros, no Resolver step holds a dense image."""
     got = _capped_quadric_betti(tmp_path, 512 << 20, "--direct", "--imax", "6")
     assert got == QUADRIC_L3_DIRECT_BETTI_6
+
+
+def test_mccullough_ell_3_fits_in_one_gib():
+    """`mccullough --ell 3` under a 1 GiB address space.  With every
+    Resolver generator kept as a dense ambient vector it peaked at 1.3 GB;
+    kept as its nonzeros, at about 120 MB."""
+    assert "regularity = -3 (certified)\n" in _capped_cli(1 << 30, "mccullough", "--ell", "3")
 
 
 def test_out_of_memory_exits_without_traceback(capsys, monkeypatch, point_file):

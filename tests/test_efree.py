@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from conftest import free_as_vectorized, quotient_slice_oracle, small_graded_maps
+from conftest import (dense_rank, dense_slice_matrix, free_as_vectorized, mixed_graded_maps,
+                      quotient_slice_oracle, small_graded_maps, sorted_nonzeros)
 from exttate.errors import DomainError, ParseError
 from exttate.extalg import Algebra, ExtElement, parse_element, random_element
 from exttate.efree import (FreeEModule, GradedMap, format_ematrix, parse_ematrix,
@@ -145,6 +146,25 @@ def test_vectorize_coker_matches_projection_section_rule_property(f):
             assert np.array_equal(m.action(i, d), want), (i, d)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_graded_maps(), mixed_graded_maps()))
+def test_slice_nonzeros_match_dense_assembly_property(f):
+    """Every slice's nonzeros are those of the block-by-block dense assembly,
+    field for field: no (row, column) repeats, no zero value, int64 values
+    reduced mod p; `slice_matrix` is their dense form."""
+    lo = min(f.source.degree_range()[0], f.target.degree_range()[0])
+    hi = max(f.source.degree_range()[1], f.target.degree_range()[1])
+    for d in range(lo - 1, hi + 2):
+        want = dense_slice_matrix(f, d)
+        r, c = np.nonzero(want)
+        got = f.slice_nonzeros(d)
+        assert all(x.dtype == np.int64 for x in got)
+        rows, cols, vals = sorted_nonzeros(*got)
+        assert np.array_equal(rows, r) and np.array_equal(cols, c), d
+        assert np.array_equal(vals, want[r, c]), d
+        assert np.array_equal(f.slice_matrix(d), want), d
+
+
 def test_rank_nullity_per_degree(small_corpus):
     alg = Algebra(2)
     f = emap(alg, (-1, -2), (0,), {(0, 0): "e0 + e2", (0, 1): "e0*e1"})
@@ -153,7 +173,7 @@ def test_rank_nullity_per_degree(small_corpus):
     for d in range(lo, hi + 1):
         sl = f.slice_matrix(d)
         dim_ker = len(ker[d][1]) if d in ker else 0
-        assert dim_ker + gfp.rank(sl, P) == f.source.slice_dim(d)
+        assert dim_ker + dense_rank(sl, P) == f.source.slice_dim(d)
 
 
 def test_kernel_examples():

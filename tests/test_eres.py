@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (dense_extend_column_basis, dense_kernel, free_as_vectorized,
+from conftest import (dense_extend_column_basis, dense_generators, dense_kernel, free_as_vectorized,
                       module_corpus, module_regularity, module_resolution, module_resolver,
                       quotient_by, residue_field, small_graded_maps)
 from exttate.bgg import graded_map_homology
@@ -308,8 +308,8 @@ def test_no_step_builds_a_kernel_nothing_reads(monkeypatch):
         res = module_resolution(k_mod, i)
         assert len(res.frees) == i + 1 and not res.terminated
         assert len(built) == i
-        # a kept step holds its own vectors, not views of a kernel basis
-        assert all(v.base is None for _, gens in res.steps for _, v in gens)
+        # a kept step holds its own nonzeros, not views of a kernel basis
+        assert all(x.base is None for _, gens in res.steps for _, *nz in gens for x in nz)
 
 
 def test_free_modules_build_each_gather_once(monkeypatch):
@@ -342,8 +342,9 @@ def assert_same_resolution(r1, r2):
     assert [f.gen_degrees for f in r1.frees] == [f.gen_degrees for f in r2.frees]
     assert len(r1.steps) == len(r2.steps)
     for (_, gens1), (_, gens2) in zip(r1.steps, r2.steps):
-        assert [d for d, _ in gens1] == [d for d, _ in gens2]
-        assert all(np.array_equal(v, w) for (_, v), (_, w) in zip(gens1, gens2))
+        assert len(gens1) == len(gens2)
+        for (d1, *nz1), (d2, *nz2) in zip(gens1, gens2):
+            assert d1 == d2 and all(np.array_equal(x, y) for x, y in zip(nz1, nz2))
 
 
 @settings(max_examples=100, deadline=None)
@@ -389,8 +390,10 @@ def test_kernel_coordinate_generators_match_ambient_rule_property(phi):
     def compared(alg, amb, ker):
         got = kernel_generators(alg, amb, ker)
         want = ambient_generators(alg, amb, ker)
-        assert [d for d, _ in got] == [d for d, _ in want]
-        assert all(np.array_equal(v, w) for (_, v), (_, w) in zip(got, want))
+        dense = dense_generators(amb, got)
+        assert [d for d, _ in dense] == [d for d, _ in want]
+        assert all(np.array_equal(v, w) for (_, v), (_, w) in zip(dense, want))
+        assert all(np.all(np.diff(coords) > 0) and np.all(vals > 0) for _, coords, vals in got)
         checked.append(len(got))
         return got
 
@@ -438,7 +441,7 @@ def test_cover_kernel_matches_monomial_action_rule_property(phi):
 
     def compared(amb, f, gens):
         got = cover_kernel(amb, f, gens)
-        want = monomial_action_kernel(amb, f, gens)
+        want = monomial_action_kernel(amb, f, dense_generators(amb, gens))
         assert sorted(got) == sorted(want)
         for d, (N, free) in want.items():
             got_N, got_free = dense_kernel(got[d])
@@ -499,7 +502,7 @@ def test_cover_kernel_matches_dense_cover_property(phi):
 
     def compared(amb, f, gens):
         got = cover_kernel(amb, f, gens)
-        want = dense_cover_kernel(amb, f, gens)
+        want = dense_cover_kernel(amb, f, dense_generators(amb, gens))
         assert sorted(got) == sorted(want)
         for d, fields in want.items():
             assert got[d][0] == fields[0], d
@@ -529,7 +532,7 @@ def test_has_unit_matches_loop_rule_property(phi):
     units when phi is not a minimal presentation, and the syzygy steps."""
     res = Resolver.of_kernel(phi).extend(3)
     for amb, gens in res.steps:
-        assert eres._has_unit(amb, gens) == bool(loop_has_unit(amb, gens))
+        assert eres._has_unit(amb, gens) == bool(loop_has_unit(amb, dense_generators(amb, gens)))
 
 
 def test_generator_choice_eliminates_kernel_sized_stacks(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import dense_extend_column_basis
+from conftest import dense_extend_column_basis, dense_rank
 from exttate import gfp
 
 PRIMES = [2, 3, 101, 32003]
@@ -57,7 +57,7 @@ def test_nullspace_basis(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
     A = gfp.random_matrix(m, n, p, rng)
     N, free = gfp.nullspace(A, p)
-    assert N.shape[1] == n - gfp.rank(A, p)
+    assert N.shape[1] == n - dense_rank(A, p)
     assert np.array_equal(N[free], gfp.eye(len(free)))
     if N.shape[1]:
         assert not gfp.matmul(A, N, p).any()
@@ -73,7 +73,7 @@ def test_rref_of_low_rank_product():
     rng = np.random.default_rng(11)
     A = gfp.matmul(gfp.random_matrix(200, 37, p, rng),
                    gfp.random_matrix(37, 310, p, rng), p)
-    assert gfp.rank(A, p) == 37
+    assert dense_rank(A, p) == 37
     N, free = gfp.nullspace(A, p)
     assert N.shape[1] == 310 - 37
     assert np.array_equal(N[free], gfp.eye(310 - 37))
@@ -130,7 +130,7 @@ def test_kernel_matches_naive_oracle(p, shape, density, blocks, seed):
     for reduce in (gfp.echelon, gfp.rref):
         got, got_piv = reduce(A, p)
         assert got_piv == piv and np.array_equal(got, R)
-    assert gfp.rank(A, p) == len(piv)
+    assert dense_rank(A, p) == len(piv)
     free = [c for c in range(n) if c not in piv]
     want = gfp.zeros(n, len(free))
     want[free, range(len(free))] = 1.0
@@ -150,6 +150,14 @@ def test_kernel_matches_naive_oracle(p, shape, density, blocks, seed):
         row[lead] = 1
         row[list(tail)] = list(tail.values())
         assert np.array_equal(row, sum(row[j] * exact[k] % p for k, j in enumerate(piv)) % p)
+    # rank counts the pivots of the same triplets in any order, with
+    # entries that are 0 mod p left in
+    shuffle = rng.permutation(r.size)
+    zr, zc = rng.integers(0, max(A.shape[0], 1), size=3), rng.integers(0, max(n, 1), size=3)
+    keep = A[zr, zc] == 0 if A.size else np.zeros(3, dtype=bool)
+    assert gfp.rank(np.concatenate([(3 * r + 1)[shuffle], 3 * zr[keep] + 1]),
+                    np.concatenate([c[shuffle], zc[keep]]),
+                    np.concatenate([A[r, c][shuffle] + p, np.full(keep.sum(), p)]), p) == len(piv)
     # the kernel of the same triplets is the dense path's, field for field
     got = gfp.triplet_kernel(3 * r + 1, c, A[r, c].astype(np.int64), n, p)
     assert got[0] == n and all(np.array_equal(x, y)
@@ -191,7 +199,7 @@ def test_results_ignore_row_order_and_redundant_rows(data):
         R2, piv2 = reduce(B, p)
         assert piv2 == piv
         assert np.array_equal(R2[:len(piv)], R[:len(piv)]) and not R2[len(piv):].any()
-    assert gfp.rank(B, p) == len(piv)
+    assert dense_rank(B, p) == len(piv)
     for got, want in zip(gfp.nullspace(B, p), gfp.nullspace(A, p)):
         assert np.array_equal(got, want)
     assert gfp.extend_column_basis(*row_triplets(B), n, p) == gfp.extend_column_basis(
@@ -281,10 +289,10 @@ def test_matmul_chunking_exact():
 
 def test_rank_matches_sympy_at_largest_accepted_prime():
     """At the largest prime the float64 bound of `check_prime` accepts,
-    products of residues come within 2^32 of 2^53.  Elimination works in
-    Python ints, so it does not rest on that bound; its ranks must agree
-    with exact GF(p) arithmetic on rank-5 products built in exact
-    integers."""
+    products of residues come within 2^32 of 2^53.  `rank` counts pivots of
+    int64 triplets eliminated in Python ints, so it does not rest on that
+    bound; its ranks must agree with exact GF(p) arithmetic on rank-5
+    products built in exact integers."""
     from sympy import GF
     from sympy.polys.matrices import DomainMatrix
 
@@ -297,7 +305,7 @@ def test_rank_matches_sympy_at_largest_accepted_prime():
         b = rng.integers(0, p, size=(5, 6)).astype(object)
         A = (a @ b) % p
         exact = DomainMatrix([[field(int(v)) for v in row] for row in A], (6, 6), field)
-        assert gfp.rank(A.astype(np.float64), p) == exact.rank()
+        assert dense_rank(A.astype(np.int64), p) == exact.rank()
 
 
 def test_mod_exact_over_its_range_at_largest_accepted_prime():

@@ -1,18 +1,20 @@
 """Sliced S-modules: ingestion, Koszul Betti numbers, regularity, operations."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (free_presentation, quotient_slice_oracle, random_s_presentation,
-                      random_sliced_module)
+from conftest import (dense_koszul_differential, free_presentation, quotient_slice_oracle,
+                      random_s_presentation, random_sliced_module, sliced_corpus,
+                      sorted_nonzeros)
 from exttate.errors import DomainError, ParseError, WindowError
 from exttate.smod import (PolyRing, SPresentation, SlicedModule, extend_variable,
                           koszul_betti, parse_poly, parse_smod, reg_S, shift_grading,
                           slice_presentation, truncate)
-from exttate import gfp
+from exttate import gfp, smod
 
 P = 32003
 
@@ -132,20 +134,40 @@ def test_reg_S_values():
 def test_reg_S_builds_each_koszul_differential_once(monkeypatch):
     """The scan asks for the differential (i+1, r) again on the next
     diagonal; the module's rank memo answers it without a rebuild."""
-    import exttate.smod as smod
     built = []
-    build = smod._koszul_differential
+    build = smod._koszul_nonzeros
 
     def counting(m, i, d):
         built.append((i, d))
         return build(m, i, d)
 
-    monkeypatch.setattr(smod, "_koszul_differential", counting)
+    monkeypatch.setattr(smod, "_koszul_nonzeros", counting)
     ring = PolyRing(2, P)
     cubic = slice_presentation(
         SPresentation.quotient(ring, [parse_poly(ring, "x0^3 + x1^3 + x2^3")]), (0, 8))
     assert reg_S(cubic) == 2
     assert built and len(built) == len(set(built))
+
+
+corpus_at = functools.cache(sliced_corpus)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 101, 32003]), st.integers(0, len(sliced_corpus()) - 1))
+def test_koszul_nonzeros_match_dense_differential_property(p, k):
+    """Every Koszul differential of a corpus module, built from the nonzeros
+    of the actions and the wedge faces, has the nonzeros of the dense
+    block-by-block builder, field for field."""
+    _, m = corpus_at(p)[k]
+    for i in range(1, m.ring.nvars + 2):
+        for d in range(m.lo - 1, m.hi + 1):
+            want = dense_koszul_differential(m, i, d)
+            r, c = np.nonzero(want)
+            got = smod._koszul_nonzeros(m, i, d)
+            assert all(x.dtype == np.int64 for x in got)
+            rows, cols, vals = sorted_nonzeros(*got)
+            assert np.array_equal(rows, r) and np.array_equal(cols, c), (i, d)
+            assert np.array_equal(vals, want[r, c]), (i, d)
 
 
 def test_reg_S_window_errors():

@@ -1,11 +1,14 @@
 """Tate windows: tables, exactness, point reconstruction, descent, pushforward."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import free_presentation, module_regularity, sliced_corpus
+from exttate import gfp
+from exttate.cli import main
 from exttate.errors import DomainError
 from exttate.extalg import Algebra, parse_element
 from exttate.efree import FreeEModule, GradedMap, vectorize_coker
@@ -76,6 +79,32 @@ def test_window_exactness_and_minimality():
                          {(0, 0): parse_element(alg, "1")})}
     with pytest.raises(DomainError, match="unit entry"):
         TateWindow(alg, 0, 1, {0: FreeEModule(alg, (1,)), 1: f1}, unit, 0)
+
+
+def test_cohomology_ranks_from_nonzeros(monkeypatch, capsys):
+    """A `cohomology` op ranks every slice of `check_exact` and every Koszul
+    differential of `reg_S` from its nonzeros: on the four bench inputs it
+    assembles no dense slice matrix and calls no `gfp.echelon`, though it
+    ranks dozens of matrices per input."""
+    calls = []
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in [(GradedMap, "slice_matrix"), (gfp, "echelon"), (gfp, "rank")]:
+        counted(owner, name)
+    for path in sorted((Path(__file__).parents[1] / "bench" / "inputs").glob("*.smod")):
+        calls.clear()
+        assert main(["cohomology", "--module", str(path), "--format", "json",
+                     "--window", "-4..6"]) == 0
+        assert calls.count("slice_matrix") == calls.count("echelon") == 0, path.name
+        assert calls.count("rank") > 30, path.name
+    capsys.readouterr()
 
 
 def test_lemma_reg_bounds_on_window():
