@@ -162,7 +162,9 @@ def _kernel_generators(alg, amb, ker):
     0 at the other free coordinates.  In each degree (top down) the basis
     vectors extending the radical, the span of the e_i images of K_{d+1},
     are the generators; each is returned as its nonzeros (degree, coords,
-    vals), int64 arrays with coords increasing.
+    vals), int64 arrays with coords increasing.  The chosen vectors of a
+    degree are sorted once, by vector and then coordinate, and cut into
+    copies, so a kept generator holds no view of the kernel basis.
 
     The choice is made in kernel coordinates.  Every e_i maps K_{d+1} into
     K_d, so a radical vector v lies in K_d and has coordinates v[free]
@@ -193,10 +195,15 @@ def _kernel_generators(alg, amb, ker):
             keep = pos[rows] >= 0
             chosen = gfp.extend_column_basis(vecs[keep], pos[rows[keep]], vals[keep],
                                              len(free), alg.p)
-        for c in chosen:
-            lo, hi = np.searchsorted(vec, [c, c + 1])
-            order = np.argsort(coord[lo:hi]) + lo
-            gens.append((d, coord[order], val[order].astype(np.int64)))
+        chosen = list(chosen)
+        is_chosen = np.zeros(len(free), dtype=bool)
+        is_chosen[chosen] = True
+        take = np.flatnonzero(is_chosen[vec])
+        take = take[np.lexsort((coord[take], vec[take]))]
+        coords, vals = coord[take], val[take].astype(np.int64)
+        ends = np.searchsorted(vec[take], chosen, side="right").tolist()
+        gens.extend((d, coords[a:b].copy(), vals[a:b].copy())
+                    for a, b in zip([0] + ends, ends))
     return gens
 
 
