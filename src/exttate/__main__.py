@@ -1,0 +1,8 @@
+"""`python -m exttate`: the command line of `exttate.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

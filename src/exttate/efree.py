@@ -8,6 +8,12 @@ E-modules: a map sends gen_c to sum_r gen_r * entry[r][c], so composition
 is the usual matrix product with entries multiplied on the left of module
 coefficients.
 
+Right multiplication by e_i on a free module is one table per slice d
+(`FreeEModule.action_table`): a basis vector times e_i is 0 or +-1 times
+one basis vector of slice d-1, so each (i, basis vector) holds an index
+and a sign.  `FreeEModule.act`, all a Resolver reads of its ambient (see
+`eres`), is a lookup in it; `action(i, d)` is its dense form.
+
 The slice of a GradedMap in degree d is assembled as its nonzeros
 (`slice_nonzeros`).  The terms of the entries are grouped once per map
 by (monomial, source generator degree), and a group's part of the slice
@@ -45,7 +51,7 @@ class FreeEModule:
         self.alg = alg
         self.gen_degrees = tuple(int(g) for g in gen_degrees)
         self._offsets = {}
-        self._gathers = {}
+        self._tables = {}
 
     @property
     def rank(self):
@@ -77,29 +83,38 @@ class FreeEModule:
             self._offsets[d] = tuple(offs)
         return self._offsets[d]
 
-    def action_nonzeros(self, i, d):
-        """The nonzeros of action(i, d) as (rows, cols, values), sorted by
-        column: the gather of e_i.  A basis monomial times e_i is 0 or plus
-        or minus one basis monomial, so each row and column holds at most
-        one.  The column-sorted nonzeros of e_i on E_{d-g} are placed at the
-        block offsets of each generator of degree g, in generator order."""
-        if (i, d) not in self._gathers:
-            nz = {g: self.alg.right_mul_nonzeros(i, d - g) for g in set(self.gen_degrees)}
-            blocks = [nz[g] for g in self.gen_degrees]
-            parts = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)] + blocks
-            rows, cols, signs = (np.concatenate(v) for v in zip(*parts))
-            sizes = [len(b[0]) for b in blocks]
-            rows += np.repeat(np.array(self.offsets(d - 1), dtype=np.intp), sizes)
-            cols += np.repeat(np.array(self.offsets(d), dtype=np.intp), sizes)
-            self._gathers[i, d] = rows, cols, signs
-        return self._gathers[i, d]
+    def action_table(self, d):
+        """Right multiplication by every e_i from slice d to slice d-1 as
+        arrays (rows, signs) of shape (nvars, slice_dim(d)): basis vector c
+        times e_i is signs[i, c] times basis vector rows[i, c], or 0 if that
+        is -1; each generator's `Algebra.right_mul_table`, at its offsets."""
+        if d not in self._tables:
+            nv = self.alg.nvars
+            blocks = [(np.zeros((nv, 0), np.int32), np.zeros((nv, 0), np.int8))]
+            blocks += [self.alg.right_mul_table(d - g) for g in self.gen_degrees]
+            rows, signs = (np.hstack(x) for x in zip(*blocks))
+            shift = np.repeat(np.array(self.offsets(d - 1), dtype=np.int32),
+                              [r.shape[1] for r, _ in blocks[1:]])
+            self._tables[d] = np.where(rows >= 0, rows + shift, -1), signs
+        return self._tables[d]
+
+    def act(self, i, d, vec, coord, val):
+        """The nonzeros (vector, row, value) in slice d-1 of the e_i images
+        of the vectors of slice d with val[t] at coord[t] in vector vec[t]:
+        each nonzero gives at most one, in input order."""
+        rows, signs = self.action_table(d)
+        r = rows[i, coord]
+        keep = r >= 0
+        return (vec[keep], r[keep].astype(np.intp),
+                val[keep] * signs[i, coord[keep]] % self.alg.p)
 
     def action(self, i, d):
         """Matrix of right multiplication by e_i from slice d to slice d-1."""
-        rows, cols, signs = self.action_nonzeros(i, d)
+        rows, signs = self.action_table(d)
+        cols = np.flatnonzero(rows[i] >= 0)
         out = gfp.zeros(self.slice_dim(d - 1), self.slice_dim(d))
-        out[rows, cols] = signs
-        return out
+        out[rows[i, cols], cols] = signs[i, cols]
+        return np.mod(out, self.alg.p, out=out)
 
     def __eq__(self, other):
         return (isinstance(other, FreeEModule) and self.alg == other.alg

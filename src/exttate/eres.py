@@ -5,9 +5,12 @@ Two independent engines compute graded Betti numbers:
 * the resolution engine `Resolver`.  Its one step covers a submodule of
   an ambient free module by minimal generators, kept as (ambient,
   generator vectors) with each vector as its nonzeros, and the next step
-  covers the kernel of that cover, built slice by slice from the
-  nonzeros of the action (`_cover_kernel`).  It resolves the kernel of a
-  GradedMap (`resolve_kernel_steps` turns the steps into maps spliced
+  covers the kernel of that cover, built slice by slice (`_cover_kernel`).
+  All it reads of an ambient is `amb.act(i, d, vec, coord, val)`, the
+  nonzeros in slice d-1 of the e_i images of slice-d vectors given as
+  nonzeros, in input order: 0 or 1 per input nonzero on a free module
+  (`FreeEModule.act`), maybe more elsewhere.  It resolves the kernel of
+  a GradedMap (`resolve_kernel_steps` turns the steps into maps spliced
   onto its source) and the cokernel, from the map as a presentation
   (`Resolver.of_presentation`): unit entries are pruned by Schur
   complements and source columns that the others generate are dropped.
@@ -18,8 +21,8 @@ Two independent engines compute graded Betti numbers:
   chosen in kernel coordinates, among dim ker_d unit vectors instead of
   dim F_d: each e_i maps ker_{d+1} into ker_d, greedy choices do not
   change under an injective linear map, and the nonzeros of the radical
-  come straight from those of ker_{d+1} through the nonzeros of the
-  action (see `_kernel_generators`);
+  come straight from those of ker_{d+1} through `amb.act` (see
+  `_kernel_generators`);
 * the Koszul-type oracle `CartanScanner`: the dimension of the middle
   homology of  G_{i+1} (x) M_{j+i+1} -> G_i (x) M_{j+i} -> G_{i-1} (x) M_{j+i-1}
   where G_i is the i-th divided power of the variable space (dimensions
@@ -89,19 +92,6 @@ class BettiTable:
                          for row in grid)
 
 
-def _act(amb, i, d, vec, coord, val):
-    """The nonzeros (vector, row, value) in slice d-1 of the e_i images of
-    the vectors of slice d of amb with val[t] at coord[t] in vector vec[t]:
-    a nonzero at coordinate s meets each nonzero in column s of amb's
-    action (at most one on a free module), so (vector, row) pairs repeat."""
-    rows, cols, vals = amb.action_nonzeros(i, d)
-    lo = np.searchsorted(cols, coord)
-    cnt = np.searchsorted(cols, coord, side="right") - lo
-    at = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
-    return (np.repeat(vec, cnt), rows[at],
-            np.repeat(val, cnt) * vals[at].astype(np.int64) % amb.alg.p)
-
-
 def _cover_kernel(amb, f, gens):
     """Per-degree kernels, in the form of `gfp.kernel_nonzeros`, of the map
     f -> amb sending the generators of the free module f to the vectors of
@@ -111,11 +101,10 @@ def _cover_kernel(amb, f, gens):
     value) arrays and built top down.  Below its generator's degree, a
     basis vector gen * m of slice d of f is b * e_i for the basis vector
     b = gen * m' of slice d+1, where e_i is the last factor of m = m' e_i,
-    so the sign is +1 and the largest i reaching gen * m in the gather
-    f.action_nonzeros(i, d+1) is that factor; its image is the `_act`
-    image of b's.  Entries meeting at one (row, column), as the action of
-    an ambient that is not free can make them, are summed before
-    `gfp.triplet_kernel`.
+    so the sign is +1 and the largest i reaching gen * m in f's
+    `action_table(d+1)` is that factor; its image is amb.act of b's.
+    Entries meeting at one (row, column), as the action of an ambient that
+    is not free can make them, are summed before `gfp.triplet_kernel`.
     """
     p = amb.alg.p
     ker = {}
@@ -133,17 +122,14 @@ def _cover_kernel(amb, f, gens):
         if above is not None:
             col, row, val = above
             done = np.zeros(n, dtype=bool)
-            to = np.empty(f.slice_dim(d + 1), dtype=np.intp)
+            rows = f.action_table(d + 1)[0]
             for i in reversed(range(f.alg.nvars)):
-                tgt, src, _ = f.action_nonzeros(i, d + 1)
-                fresh = ~done[tgt]
+                fresh = (rows[i] >= 0) & ~done[rows[i]]
                 if fresh.any():
-                    done[tgt] = True
-                    to.fill(-1)
-                    to[src[fresh]] = tgt[fresh]
-                    t = to[col]
+                    done[rows[i, fresh]] = True
+                    t = np.where(fresh, rows[i], -1)[col]
                     keep = t >= 0
-                    parts.append(_act(amb, i, d + 1, t[keep], row[keep], val[keep]))
+                    parts.append(amb.act(i, d + 1, t[keep], row[keep], val[keep]))
         col, row, val = (np.concatenate(x) for x in zip(*parts))
         key, val = gfp.sum_nonzeros(row * n + col, val, p)
         row, col = np.divmod(key, n)
@@ -174,7 +160,7 @@ def _kernel_generators(alg, amb, ker):
     preserves.  So extending the radical's v[free] by the unit vectors
     (`gfp.extend_column_basis`) picks the same basis vectors as extending
     the radical by the basis in ambient coordinates.  The radical's
-    nonzeros come from those of K_{d+1} through the action's (`_act`):
+    nonzeros come from those of K_{d+1} through the ambient's `act`:
     image i of basis vector k of K_{d+1} is vector i * dim K_{d+1} + k,
     and its coordinates outside `free` are dropped, as the others
     determine them.  No dense basis or radical is built.
@@ -189,7 +175,7 @@ def _kernel_generators(alg, amb, ker):
             pos = np.full(n, -1)
             pos[free] = np.arange(len(free))
             _, up_free, up_vec, up_coord, up_val = up
-            images = (_act(amb, i, d + 1, up_vec + i * len(up_free), up_coord, up_val)
+            images = (amb.act(i, d + 1, up_vec + i * len(up_free), up_coord, up_val)
                       for i in range(alg.nvars))
             vecs, rows, vals = (np.concatenate(x) for x in zip(*images))
             keep = pos[rows] >= 0

@@ -63,25 +63,20 @@ class Algebra:
         return {m: i for i, m in enumerate(self.basis(d))}
 
     @functools.cache
-    def right_mul_matrix(self, i, d):
-        """Matrix of x -> x*e_i from slice E_d to E_{d-1}.
-
-        x*e_i = (-1)^d e_i*x for x in E_d, so this is left multiplication
-        by e_i, negated in odd degrees.
-        """
-        mat = self.left_mul_matrix(1 << i, d)
-        if d % 2:
-            mat = np.mod(-mat, self.p)
-            mat.flags.writeable = False
-        return mat
-
-    @functools.cache
-    def right_mul_nonzeros(self, i, d):
-        """The nonzeros of right_mul_matrix(i, d) as (rows, cols, values),
-        sorted by column."""
-        mat = self.right_mul_matrix(i, d)
-        cols, rows = np.nonzero(mat.T)
-        return rows, cols, mat[rows, cols]
+    def right_mul_table(self, d):
+        """Right multiplication by every e_i on E_d, as read-only arrays of
+        shape (nvars, dim E_d): rows[i, c], int32, is the index in E_{d-1}
+        of basis monomial c times e_i (-1 if that is 0), and signs[i, c],
+        int8, its sign +-1."""
+        rows = np.full((self.nvars, self.dim(d)), -1, dtype=np.int32)
+        signs = np.ones_like(rows, dtype=np.int8)
+        for c, m in enumerate(self.basis(d)):
+            for i in range(self.nvars):
+                res = mono_mul(m, 1 << i)
+                if res is not None:
+                    signs[i, c], rows[i, c] = res[0], self.index(d - 1)[res[1]]
+        rows.flags.writeable = signs.flags.writeable = False
+        return rows, signs
 
     @functools.cache
     def left_mul_nonzeros(self, mask, d):

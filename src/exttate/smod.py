@@ -12,8 +12,8 @@ the x_i actions are written and read by position, with no shift matrix.
 
 Regularity (`reg_S`) comes from one scan of the Koszul Betti diagonals;
 each module ranks every Koszul differential once, from its nonzeros: the
-x_t actions' nonzeros placed by the wedge index maps (`_wedge_faces`),
-with no dense differential built.  The monomial bases of
+x_t actions' nonzeros, found once per module, placed by the wedge index
+maps (`_wedge_faces`), with no dense differential built.  The monomial bases of
 S and their index maps are cached per (n, p) and shared by every
 PolyRing(n, p).
 """
@@ -201,6 +201,7 @@ class SlicedModule:
         if check:
             self.check_commutativity()
         self._koszul_ranks = {}
+        self._nonzeros = {}
 
     def dim(self, d):
         return self.dims.get(d, 0)
@@ -213,6 +214,16 @@ class SlicedModule:
         if key in self.mult:
             return self.mult[key]
         return gfp.zeros(self.dim(d + 1), self.dim(d))
+
+    def action_nonzeros(self, i, d):
+        """The nonzeros (rows, cols, int64 values) of action(i, d), found
+        once: every Koszul differential out of slice d reads them."""
+        key = (i, d)
+        if key not in self._nonzeros:
+            act = self.action(i, d)
+            r, c = np.nonzero(act)
+            self._nonzeros[key] = r, c, act[r, c].astype(np.int64)
+        return self._nonzeros[key]
 
     def koszul_rank(self, i, d):
         """Rank of the Koszul differential out of wedge^i V (x) M_d, memoized."""
@@ -349,10 +360,8 @@ def _koszul_nonzeros(m, i, d):
     p = m.ring.p
     parts = [(np.zeros(0, dtype=np.int64),) * 3]
     for t, (cols, rows, odd) in enumerate(_wedge_faces(m.ring.nvars, i)):
-        act = m.action(t, d)
-        r, c = np.nonzero(act)
+        r, c, v = m.action_nonzeros(t, d)
         if r.size and cols.size:
-            v = act[r, c].astype(np.int64)
             parts.append(((rows[:, None] * md1 + r).ravel(), (cols[:, None] * md + c).ravel(),
                           np.where(odd[:, None] == 1, p - v, v).ravel()))
     return tuple(np.concatenate(x) for x in zip(*parts))

@@ -15,15 +15,44 @@ from exttate.smod import PolyRing, SPresentation, parse_poly, slice_presentation
 
 
 class ModuleAmbient(VectorizedModule):
-    """A VectorizedModule that a Resolver can act on: it adds the nonzeros
-    of the action, which is all the Resolver reads of its ambient."""
+    """A VectorizedModule that a Resolver can act on: it adds `act`, which
+    is all the Resolver reads of its ambient."""
 
-    def action_nonzeros(self, i, d):
-        """The nonzeros of action(i, d) as (rows, cols, values), sorted by
-        column."""
+    def act(self, i, d, vec, coord, val):
+        """The nonzeros (vector, row, value) in slice d-1 of the e_i images
+        of the vectors of slice d with val[t] at coord[t] in vector vec[t],
+        as a join with the column-sorted nonzeros of action(i, d): a
+        nonzero at coordinate s meets each nonzero in column s, so a column
+        can give several and (vector, row) pairs repeat."""
         mat = self.action(i, d)
         cols, rows = np.nonzero(mat.T)
-        return rows, cols, mat[rows, cols]
+        vals = mat[rows, cols]
+        lo = np.searchsorted(cols, coord)
+        cnt = np.searchsorted(cols, coord, side="right") - lo
+        at = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+        return (np.repeat(vec, cnt), rows[at],
+                np.repeat(val, cnt) * vals[at].astype(np.int64) % self.alg.p)
+
+
+def right_mul_matrix(alg, i, d):
+    """Right multiplication by e_i from E_d to E_{d-1}, built column by
+    column from ExtElement products: the oracle of `Algebra.right_mul_table`."""
+    out = gfp.zeros(alg.dim(d - 1), alg.dim(d))
+    for c, m in enumerate(alg.basis(d)):
+        prod = ExtElement(alg, {m: 1}) * ExtElement.variable(alg, i)
+        for mask, coeff in prod.terms.items():
+            out[alg.index(d - 1)[mask], c] = coeff
+    return out
+
+
+def table_matrix(rows, signs, i, n_rows):
+    """Row i of a right multiplication table (`Algebra.right_mul_table`,
+    `FreeEModule.action_table`) as a dense matrix with n_rows rows, its
+    signs reduced mod p only by the caller: -1 is 1 at p = 2."""
+    out = gfp.zeros(n_rows, rows.shape[1])
+    cols = np.flatnonzero(rows[i] >= 0)
+    out[rows[i, cols], cols] = signs[i, cols]
+    return out
 
 
 def free_as_vectorized(f):

@@ -443,6 +443,19 @@ def test_mccullough_ell_3_fits_in_one_gib():
     assert "regularity = -3 (certified)\n" in _capped_cli(1 << 30, "mccullough", "--ell", "3")
 
 
+def test_python_dash_m_runs_the_cli():
+    """`python -m exttate` is the command line: --help exits 0, and an
+    unknown subcommand is a usage error, exit 2 with no traceback."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(exttate.__file__)))
+    run = [sys.executable, "-m", "exttate"]
+    proc = subprocess.run(run + ["--help"], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "census" in proc.stdout
+    proc = subprocess.run(run + ["nosuch"], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_out_of_memory_exits_without_traceback(capsys, monkeypatch, point_file):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.00 TiB for an array")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (dense_rank, dense_slice_matrix, free_as_vectorized, mixed_graded_maps,
-                      quotient_slice_oracle, small_graded_maps, sorted_nonzeros)
+                      quotient_slice_oracle, right_mul_matrix, small_graded_maps,
+                      sorted_nonzeros, table_matrix)
 from exttate.errors import DomainError, ParseError
 from exttate.extalg import Algebra, ExtElement, parse_element, random_element
 from exttate.efree import (FreeEModule, GradedMap, format_ematrix, parse_ematrix,
@@ -192,33 +193,90 @@ def test_kernel_examples():
     assert slice_kernel(inj) == {}
 
 
+def block_right_mul_matrix(f, i, d):
+    """Right multiplication by e_i from slice d to slice d-1 of the free
+    module f, as the block-diagonal matrix of `right_mul_matrix` over its
+    generators."""
+    want = gfp.zeros(f.slice_dim(d - 1), f.slice_dim(d))
+    r0 = c0 = 0
+    for g in f.gen_degrees:
+        b = right_mul_matrix(f.alg, i, d - g)
+        want[r0:r0 + b.shape[0], c0:c0 + b.shape[1]] = b
+        r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
+    return want
+
+
 def test_free_as_vectorized_checks():
     alg = Algebra(2)
     f = free_as_vectorized(FreeEModule(alg, (0, -1)))
     f.check()
     assert sum(f.hilbert()) == 16  # two shifted copies of E
     # with mixed generator degrees, action(i, d) is the block-diagonal right
-    # multiplication by e_i, and action_nonzeros(i, d) are its nonzeros,
-    # sorted by column, on the free module and on its vectorized form
+    # multiplication by e_i, on the free module and on its vectorized form,
+    # and row i of action_table(d) holds its one nonzero per nonzero column
     alg = Algebra(2, 3)
     f = FreeEModule(alg, (0, -1, 1, 0))
     lo, hi = f.degree_range()
     for d in range(lo, hi + 2):
+        rows, signs = f.action_table(d)
         for i in range(alg.nvars):
-            want = gfp.zeros(f.slice_dim(d - 1), f.slice_dim(d))
-            r0 = c0 = 0
-            for g in f.gen_degrees:
-                b = alg.right_mul_matrix(i, d - g)
-                want[r0:r0 + b.shape[0], c0:c0 + b.shape[1]] = b
-                r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
+            want = block_right_mul_matrix(f, i, d)
             assert np.array_equal(f.action(i, d), want)
-            for m in (f, free_as_vectorized(f)):
-                rows, cols, vals = m.action_nonzeros(i, d)
-                assert len(rows) == np.count_nonzero(want) and np.all(np.diff(cols) >= 0)
-                got = gfp.zeros(*want.shape)
-                got[rows, cols] = vals
-                assert np.array_equal(got, want), (i, d)
+            assert np.array_equal(free_as_vectorized(f).action(i, d), want), (i, d)
+            cols = np.flatnonzero(rows[i] >= 0)
+            assert len(cols) == np.count_nonzero(want)
+            assert np.array_equal(want[rows[i, cols], cols] % alg.p, signs[i, cols] % alg.p)
     free_as_vectorized(f).check()
+
+
+@st.composite
+def free_modules(draw):
+    """A free module with mixed generator degrees (maybe none) over
+    GF(p), p in {2, 3, 101}."""
+    alg = Algebra(draw(st.integers(0, 3)), draw(st.sampled_from([2, 3, 101])))
+    return FreeEModule(alg, draw(st.lists(st.integers(-2, 2), max_size=4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(free_modules(), st.data())
+def test_action_table_matches_right_mul_matrix_property(f, data):
+    """action_table(d) is the block-diagonal right multiplication by each
+    e_i, in every degree, empty slices and those outside the support
+    included; the table's signs are reduced mod p after the multiply, as
+    -1 is 1 at p = 2."""
+    alg = f.alg
+    lo, hi = f.degree_range() if f.rank else (0, 0)
+    d = data.draw(st.integers(lo - 2, hi + 2))
+    rows, signs = f.action_table(d)
+    assert rows.shape == signs.shape == (alg.nvars, f.slice_dim(d))
+    assert rows.dtype == np.int32 and signs.dtype == np.int8
+    assert np.all((rows >= -1) & (rows < max(f.slice_dim(d - 1), 1)))
+    assert np.all(np.abs(signs[rows >= 0]) == 1)
+    for i in range(alg.nvars):
+        got = np.mod(table_matrix(rows, signs, i, f.slice_dim(d - 1)), alg.p)
+        assert np.array_equal(got, block_right_mul_matrix(f, i, d)), (i, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(free_modules(), st.data())
+def test_free_act_matches_sorted_join_property(f, data):
+    """A free module's `act`, a lookup in its table, gives the triplets of
+    the sorted-join `act` of free_as_vectorized(f), field for field and in
+    the same order, on random vectors of every slice."""
+    alg = f.alg
+    lo, hi = f.degree_range() if f.rank else (0, 0)
+    d = data.draw(st.integers(lo - 1, hi + 1))
+    size = f.slice_dim(d)
+    t = data.draw(st.integers(0, 12)) if size else 0
+    vec = np.array(data.draw(st.lists(st.integers(0, 3), min_size=t, max_size=t)), dtype=np.int64)
+    coord = np.array(data.draw(st.lists(st.integers(0, max(size - 1, 0)), min_size=t,
+                                        max_size=t)), dtype=np.int64)
+    val = np.array(data.draw(st.lists(st.integers(1, alg.p - 1), min_size=t, max_size=t)),
+                   dtype=np.int64)
+    for i in range(alg.nvars):
+        got = f.act(i, d, vec, coord, val)
+        want = free_as_vectorized(f).act(i, d, vec, coord, val)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want)), (i, d)
 
 
 def test_ematrix_round_trip():

@@ -312,27 +312,42 @@ def test_no_step_builds_a_kernel_nothing_reads(monkeypatch):
         assert all(x.base is None for _, gens in res.steps for _, *nz in gens for x in nz)
 
 
-def test_free_modules_build_each_gather_once(monkeypatch):
-    """A free module's e_i gather at (i, d) is asked for as the source of one
-    cover and as the ambient of the radical and of the next cover; it is
-    built once, so every ask returns the same arrays."""
-    gather = FreeEModule.action_nonzeros
+def test_free_modules_build_each_action_table_once(monkeypatch):
+    """A free module's e_i table of slice d is asked for as the source of one
+    cover and as the ambient of the radical and of the next cover, for
+    every e_i; each (module, d) table is built once, from one
+    `Algebra.right_mul_table` per generator, and every ask returns the same
+    arrays."""
+    table = FreeEModule.action_table
+    right_mul_table = Algebra.right_mul_table
     asked = {}
+    built = []
     modules = []  # keeps every module alive, so no id is reused
 
-    def recording(self, i, d):
-        out = gather(self, i, d)
+    def recording(self, d):
+        start = len(built)
+        out = table(self, d)
+        if len(built) > start:
+            assert len(built) - start == self.rank
+            built.append((id(self), d))
         modules.append(self)
-        asked.setdefault((id(self), i, d), []).append(out)
+        asked.setdefault((id(self), d), []).append(out)
         return out
 
-    monkeypatch.setattr(FreeEModule, "action_nonzeros", recording)
+    def counted(self, d):
+        built.append(None)
+        return right_mul_table(self, d)
+
+    monkeypatch.setattr(FreeEModule, "action_table", recording)
+    monkeypatch.setattr(Algebra, "right_mul_table", counted)
     alg = Algebra(2)
     module_resolution(residue_field(alg), 4)
     e0, e1 = (ExtElement.variable(alg, i) for i in range(2))
     phi = GradedMap(FreeEModule(alg, (-1, -1)), FreeEModule(alg, (0,)),
                     {(0, 0): e0, (0, 1): e1})
     Resolver.of_kernel(phi).extend(3)
+    keys = [k for k in built if k is not None]
+    assert keys and sorted(keys) == sorted(asked)
     assert max(map(len, asked.values())) > 1
     assert all(out is outs[0] for outs in asked.values() for out in outs)
 
@@ -476,7 +491,7 @@ def dense_cover_kernel(amb, f, gens):
         if above is not None:
             done = np.zeros(n, dtype=bool)
             for i in reversed(range(alg.nvars)):
-                rows, cols, _ = f.action_nonzeros(i, d + 1)
+                rows, cols = np.nonzero(f.action(i, d + 1))
                 fresh = ~done[rows]
                 rows, cols = rows[fresh], cols[fresh]
                 if rows.size:

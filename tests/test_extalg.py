@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import table_matrix
 from exttate.extalg import (Algebra, ExtElement, format_element, mono_mul,
                             parse_element, random_element)
 from exttate.smod import PolyRing
@@ -42,14 +43,17 @@ def test_ring_tables_shared_per_n_p():
     """Equal rings share one cached table; the shared arrays are read-only."""
     mat = Algebra(3, 101).left_mul_matrix(0b101, -1)
     assert mat is Algebra(3, 101).left_mul_matrix(0b101, -1)
-    right = Algebra(3, 101).right_mul_matrix(2, -1)
-    assert right is Algebra(3, 101).right_mul_matrix(2, -1)
+    right = Algebra(3, 101).right_mul_table(-1)
+    assert right is Algebra(3, 101).right_mul_table(-1)
     assert PolyRing(2, 101).basis(3) is PolyRing(2, 101).basis(3)
     assert PolyRing(2, 101).index(3) is PolyRing(2, 101).index(3)
     assert hash(PolyRing(2, 101)) == hash(PolyRing(2, 101))
     assert Algebra(3, 101).basis(-2) != Algebra(2, 101).basis(-2)
     with pytest.raises(ValueError):
         mat[0, 0] = 1
+    for table in right:
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
 
 def test_mono_mul_signs():
@@ -144,8 +148,9 @@ def test_parse_minus_signs():
 
 
 def test_right_left_mul_matrices_consistent():
-    """Both multiplication matrices by e_i agree with ExtElement products,
-    for every n <= 3, every variable and every degree."""
+    """Right multiplication by e_i, the table of `right_mul_table` as a
+    matrix, and left multiplication agree with ExtElement products, for
+    every n <= 3, every variable and every degree."""
     rng = np.random.default_rng(4)
     for n in range(4):
         alg = Algebra(n)
@@ -155,7 +160,8 @@ def test_right_left_mul_matrices_consistent():
                 continue
             v = coeff_vector(x)
             for i in range(alg.nvars):
-                for mat, prod in ((alg.right_mul_matrix(i, d), x * E(alg, i)),
+                right = table_matrix(*alg.right_mul_table(d), i, alg.dim(d - 1))
+                for mat, prod in ((right, x * E(alg, i)),
                                   (alg.left_mul_matrix(1 << i, d), E(alg, i) * x)):
                     got = np.mod(mat @ v, alg.p)
                     if prod.is_zero:

@@ -149,6 +149,25 @@ def test_reg_S_builds_each_koszul_differential_once(monkeypatch):
     assert built and len(built) == len(set(built))
 
 
+def test_koszul_differentials_find_each_action_nonzeros_once(monkeypatch):
+    """Every Koszul degree i out of slice d reads the nonzeros of each x_t
+    action on it; the module finds them once per (t, d)."""
+    ring = PolyRing(2, P)
+    cubic = slice_presentation(
+        SPresentation.quotient(ring, [parse_poly(ring, "x0^3 + x1^3 + x2^3")]), (0, 8))
+    read = []
+    action = SlicedModule.action
+
+    def counting(self, i, d):
+        read.append((i, d))
+        return action(self, i, d)
+
+    monkeypatch.setattr(SlicedModule, "action", counting)
+    assert reg_S(cubic) == 2
+    assert read and len(read) == len(set(read))
+    assert all(cubic.action_nonzeros(t, d) is cubic.action_nonzeros(t, d) for t, d in read)
+
+
 corpus_at = functools.cache(sliced_corpus)
 
 
