@@ -6,10 +6,12 @@ entry[r][c] = sum_t sign_t * X_t[r, c] * e_t with sign_t = (-1)^t.  It is a
 complex exactly when the x_t actions commute: the e_s e_t coefficient
 (s < t) of d o d is sign_s sign_t (X_s X_t - X_t X_s), since e_t e_s =
 -e_s e_t and e_t e_t = 0.  So d o d = 0 is decided on the slices, by
-`SlicedModule.check_commutativity`.  The inverse reading peels the
-multiplication maps back off a linear complex, and the same check on the
-module it returns rejects a composition that does not vanish; it is the
-round-trip oracle of the tests.
+`SlicedModule.check_commutativity`.  Both directions read and write the
+actions as their nonzeros (rows, cols, vals): a nonzero v of X_t at
+(r, c) is the term sign_t * v * e_t of entry (r, c).  The inverse reading
+peels the multiplication maps back off a linear complex, and the same
+check on the module it returns rejects a composition that does not
+vanish; it is the round-trip oracle of the tests.
 Linear complexes and Tate windows share the base `FreeComplex`, and
 `graded_map_homology` reads the homology along a chain of its maps: the
 dimension of each middle slice less the ranks of the two slices around
@@ -69,8 +71,8 @@ class LinearComplex(FreeComplex):
 
 def bgg_R(m):
     """Linear complex of M: rank dim M_i in position i, entries from the
-    multiplication maps, read off the nonzeros of the sign-twisted stack
-    of the x_t actions.  d o d = 0 is asserted as the commutativity of
+    multiplication maps, read off the nonzeros of the x_t actions with the
+    sign (-1)^t.  d o d = 0 is asserted as the commutativity of
     those actions (see the module docstring), checked here unless m has
     passed that check already; DomainError if it fails."""
     if m.hi < m.lo:
@@ -83,11 +85,11 @@ def bgg_R(m):
     for i in range(m.lo, m.hi + 1):
         modules[i] = FreeEModule(alg, (i,) * m.dim(i))
     for i in range(m.lo, m.hi):
-        acts = np.stack([m.action(t, i) for t in range(alg.nvars)], axis=-1)
-        acts[..., 1::2] = np.mod(-acts[..., 1::2], alg.p)
         terms = {}
-        for r, c, t in zip(*np.nonzero(acts)):
-            terms.setdefault((int(r), int(c)), {})[1 << int(t)] = int(acts[r, c, t])
+        for t in range(alg.nvars):
+            r, c, v = m.action_nonzeros(t, i)
+            for rc, x in zip(zip(r.tolist(), c.tolist()), (alg.p - v if t % 2 else v).tolist()):
+                terms.setdefault(rc, {})[1 << t] = x
         entries = {rc: ExtElement(alg, tt) for rc, tt in terms.items()}
         diffs[i] = GradedMap(modules[i], modules[i + 1], entries)
     return LinearComplex(alg, m.lo, m.hi, modules, diffs)
@@ -96,25 +98,20 @@ def bgg_R(m):
 def bgg_L_read(cx):
     """Sliced S-module read back off a linear complex.
 
-    The multiplication maps are the e_t-coefficient tensors of the
-    differentials (signs undone); commutativity of the result is exactly
+    The multiplication maps are the e_t coefficients of the differentials'
+    entries (signs undone), as nonzeros; commutativity of the result is exactly
     the vanishing of the composition and is verified by the constructor.
     """
     ring = PolyRing(cx.alg.n, cx.alg.p)
     dims = {i: cx.rank(i) for i in range(cx.lo, cx.hi + 1)}
-    mult = {}
+    actions = {}
     for i in range(cx.lo, cx.hi):
-        d = cx.diff(i)
-        for t in range(cx.alg.nvars):
-            mat = gfp.zeros(cx.rank(i + 1), cx.rank(i))
-            for (r, c), e in d.entries.items():
-                coeff = e.terms.get(1 << t, 0)
-                if coeff and t % 2 == 1:
-                    coeff = (-coeff) % cx.alg.p
-                if coeff:
-                    mat[r, c] = coeff
-            mult[(t, i)] = mat
-    return SlicedModule(ring, (cx.lo, cx.hi), dims, mult)
+        for (r, c), e in cx.diff(i).entries.items():
+            for mask, coeff in e.terms.items():
+                t = mask.bit_length() - 1
+                actions.setdefault((t, i), []).append((r, c, ring.p - coeff if t % 2 else coeff))
+    return SlicedModule(ring, (cx.lo, cx.hi), dims,
+                        {k: tuple(np.array(x, dtype=np.int64).T) for k, x in actions.items()})
 
 
 def graded_map_homology(*maps):

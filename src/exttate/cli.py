@@ -24,7 +24,7 @@ from . import paramspace
 
 
 def _prime(text):
-    """Type of -p: a prime within the exact float64 bound of gfp."""
+    """Type of -p: a prime that `gfp.check_prime` accepts, (p-1)^2 < 2^53."""
     try:
         p = int(text)
         gfp.check_prime(p)

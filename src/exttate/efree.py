@@ -12,7 +12,7 @@ Right multiplication by e_i on a free module is one table per slice d
 (`FreeEModule.action_table`): a basis vector times e_i is 0 or +-1 times
 one basis vector of slice d-1, so each (i, basis vector) holds an index
 and a sign.  `FreeEModule.act`, all a Resolver reads of its ambient (see
-`eres`), is a lookup in it; `action(i, d)` is its dense form.
+`eres`), is a lookup in it.
 
 The slice of a GradedMap in degree d is assembled as its nonzeros
 (`slice_nonzeros`).  The terms of the entries are grouped once per map
@@ -21,16 +21,18 @@ is one broadcast of its block offsets against the nonzeros of the
 monomial's multiplication (`Algebra.left_mul_nonzeros`).  The Tate
 exactness check ranks these triplets (`bgg.graded_map_homology`) and the
 Resolver reads the generator images of a map off them
-(`eres._generator_vectors`); `slice_matrix` is their dense form, which
-only `vectorize_coker` and the tests read.
+(`eres._generator_vectors`) and `vectorize_coker` takes its quotients by
+them; `slice_matrix` is their dense form, which only the tests and
+`bench/tracer.py` read.
 
 Slice-level data (cokernels) is held in VectorizedModule: graded
-dimensions plus one GF(p) matrix per variable mapping slice d to d-1.
-A quotient slice k^amb / image is the pair (N, free) of `gfp.nullspace`
-of image.T: the columns of N are a basis with N[free] the identity, the
-projection is N.T and the coordinates `free` are its basis
+dimensions plus, per variable, the map from slice d to d-1 as its
+nonzeros (rows, cols, vals), as `smod.SlicedModule` holds the x_i.  A
+quotient slice k^amb / image is the kernel of image.T kept as the
+nonzeros of its basis (`gfp.quotient`): the coordinates `free` are the
+quotient basis and the kernel vectors are the rows of the projection
 (`vectorize_coker`, and `smod.slice_presentation` on the S-side).  The
-Resolver's kernel slices are the same basis kept as nonzeros (see `eres`).
+Resolver's kernel slices are held in the same form (see `eres`).
 
 The `.emat` matrix format shares its parser skeleton, `parse_matrix_file`,
 with the `.smod` format of the S-side.
@@ -107,14 +109,6 @@ class FreeEModule:
         keep = r >= 0
         return (vec[keep], r[keep].astype(np.intp),
                 val[keep] * signs[i, coord[keep]] % self.alg.p)
-
-    def action(self, i, d):
-        """Matrix of right multiplication by e_i from slice d to slice d-1."""
-        rows, signs = self.action_table(d)
-        cols = np.flatnonzero(rows[i] >= 0)
-        out = gfp.zeros(self.slice_dim(d - 1), self.slice_dim(d))
-        out[rows[i, cols], cols] = signs[i, cols]
-        return np.mod(out, self.alg.p, out=out)
 
     def __eq__(self, other):
         return (isinstance(other, FreeEModule) and self.alg == other.alg
@@ -196,9 +190,9 @@ class GradedMap:
         return tuple(np.concatenate(x) for x in zip(*parts))
 
     def slice_matrix(self, d):
-        """`slice_nonzeros(d)` as a dense matrix."""
+        """`slice_nonzeros(d)` as a dense int64 matrix."""
         rows, cols, vals = self.slice_nonzeros(d)
-        out = gfp.zeros(self.target.slice_dim(d), self.source.slice_dim(d))
+        out = np.zeros((self.target.slice_dim(d), self.source.slice_dim(d)), dtype=np.int64)
         out[rows, cols] = vals
         return out
 
@@ -245,19 +239,19 @@ class GradedMap:
 
 
 class VectorizedModule:
-    """A finite graded E-module: dims per degree plus e_i-action matrices.
+    """A finite graded E-module: dims per degree plus the e_i actions.
 
-    actions[(i, d)] maps slice d to slice d-1 (right multiplication by e_i).
-    Degrees with dim 0 are dropped from `dims`.
+    actions[(i, d)] is right multiplication by e_i from slice d to slice
+    d-1 as its nonzeros (rows, cols, vals), in the form of
+    `smod.SlicedModule`; a missing key is the zero map.  Degrees with dim 0
+    are dropped from `dims`, and the actions into or out of them.
     """
 
     def __init__(self, alg, dims, actions):
         self.alg = alg
         self.dims = {d: int(v) for d, v in dims.items() if v}
-        self.actions = {}
-        for (i, d), mat in actions.items():
-            if self.dims.get(d) and self.dims.get(d - 1):
-                self.actions[(i, d)] = mat
+        self.actions = {(i, d): a for (i, d), a in actions.items()
+                        if self.dims.get(d) and self.dims.get(d - 1)}
 
     @property
     def is_zero(self):
@@ -271,25 +265,23 @@ class VectorizedModule:
             return (0, -1)
         return (min(self.dims), max(self.dims))
 
-    def action(self, i, d):
-        key = (i, d)
-        if key in self.actions:
-            return self.actions[key]
-        return gfp.zeros(self.dim(d - 1), self.dim(d))
+    def action_nonzeros(self, i, d):
+        """The nonzeros (rows, cols, vals) of e_i from slice d to slice d-1."""
+        return self.actions.get((i, d), gfp.NO_ENTRIES)
 
     def check(self):
-        """Verify the action maps anticommute and square to zero."""
-        p = self.alg.p
+        """Verify e_i e_j + e_j e_i = 0 for all i <= j: the actions
+        anticommute, and for odd p square to zero (`gfp.noncommuting` with
+        sign -1, one product per degree)."""
         lo, hi = self.support()
+        nv = self.alg.nvars
         for d in range(hi, lo, -1):
-            for i in range(self.alg.nvars):
-                for j in range(i, self.alg.nvars):
-                    ab = gfp.matmul(self.action(i, d - 1), self.action(j, d), p)
-                    ba = gfp.matmul(self.action(j, d - 1), self.action(i, d), p)
-                    if not np.array_equal(np.mod(ab + ba, p), np.zeros_like(ab)):
-                        raise DomainError(
-                            "actions e_%d, e_%d fail to anticommute at degree %d"
-                            % (i, j, d))
+            pair = gfp.noncommuting([self.action_nonzeros(i, d) for i in range(nv)],
+                                    [self.action_nonzeros(j, d - 1) for j in range(nv)],
+                                    self.dim(d), self.dim(d - 2), -1, self.alg.p)
+            if pair:
+                raise DomainError("actions e_%d, e_%d fail to anticommute at degree %d"
+                                  % (*pair, d))
         return True
 
     def hilbert(self):
@@ -300,28 +292,27 @@ class VectorizedModule:
 def vectorize_coker(f):
     """coker(f) as a VectorizedModule, computed slice by slice.
 
-    Slice d of the cokernel is the pair (N, free) of `gfp.nullspace` of the
-    transposed image: N.T projects the target slice onto the quotient, and
-    the non-pivot coordinates `free` of the image's row echelon form are
-    the quotient basis, so generators are reproducible.  The e_i action is
-    N_{d-1}.T times the columns `free` of the target's action matrix.
+    Slice d of the cokernel is the `gfp.quotient` of the target slice by
+    the image, its nonzeros `slice_nonzeros(d)`: the non-pivot coordinates
+    `free` of the transposed image's reduced form are the quotient basis,
+    so generators are reproducible.  Basis vector k is the unit vector at
+    free[k], which e_i sends to 0 or +-1 times one unit vector of the
+    slice below (`action_table`), projected onto its quotient
+    (`gfp.project`).
     """
     p = f.alg.p
     tgt = f.target
     lo, hi = tgt.degree_range()
-    quot = {}
-    for d in range(lo, hi + 1):
-        if tgt.slice_dim(d):
-            quot[d] = gfp.nullspace(f.slice_matrix(d).T, p)
-    dims = {d: len(free) for d, (_, free) in quot.items()}
+    quot = {d: gfp.quotient(*f.slice_nonzeros(d), tgt.slice_dim(d), p)
+            for d in range(lo, hi + 1) if tgt.slice_dim(d)}
+    dims = {d: len(kernel[1]) for d, kernel in quot.items()}
     actions = {}
     for d in range(lo + 1, hi + 1):
-        if not dims.get(d) or not dims.get(d - 1):
-            continue
-        proj = quot[d - 1][0].T
-        free = quot[d][1]
-        for i in range(f.alg.nvars):
-            actions[(i, d)] = gfp.matmul(proj, tgt.action(i, d)[:, free], p)
+        if dims.get(d) and dims.get(d - 1):
+            free = quot[d][1]
+            rows, signs = tgt.action_table(d)
+            for i in range(f.alg.nvars):
+                actions[(i, d)] = gfp.project(quot[d - 1], rows[i, free], signs[i, free], p)
     return VectorizedModule(f.alg, dims, actions)
 
 

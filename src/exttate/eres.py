@@ -28,7 +28,10 @@ Two independent engines compute graded Betti numbers:
   where G_i is the i-th divided power of the variable space (dimensions
   match symmetric powers; the divided-power basis keeps the differential
   correct in small characteristic).  Its monomials are indexed by the
-  exponent vectors of S_i, `smod.exponent_vectors`.
+  exponent vectors of S_i, `smod.exponent_vectors`, and each differential
+  is built as its nonzeros from those of the module's e_t actions, by the
+  builder of the Koszul strands (`smod.strand_nonzeros`), and ranked by
+  `gfp.rank`.
 
 Regularity of a graded E-module is the stable top row max(i+j) of its
 Betti table.  Top rows never increase along a minimal resolution (entries
@@ -46,7 +49,7 @@ from . import gfp
 from .errors import DomainError, ZeroModuleError
 from .extalg import Algebra, ExtElement
 from .efree import FreeEModule, GradedMap, VectorizedModule
-from .smod import exponent_vectors
+from .smod import strand_faces, strand_nonzeros
 
 
 class BettiTable:
@@ -93,7 +96,7 @@ class BettiTable:
 
 
 def _cover_kernel(amb, f, gens):
-    """Per-degree kernels, in the form of `gfp.kernel_nonzeros`, of the map
+    """Per-degree kernels, in the form of `gfp.triplet_kernel`, of the map
     f -> amb sending the generators of the free module f to the vectors of
     `gens`, (degree, coords, vals) nonzeros in f's generator order.
 
@@ -144,7 +147,7 @@ def _kernel_generators(alg, amb, ker):
     """Minimal generators of a graded submodule K of `amb`.
 
     `ker` maps each degree d to the nonzeros of a basis of K_d in ambient
-    coordinates (`gfp.kernel_nonzeros`): basis vector k has 1 at free[k] and
+    coordinates (`gfp.triplet_kernel`): basis vector k has 1 at free[k] and
     0 at the other free coordinates.  In each degree (top down) the basis
     vectors extending the radical, the span of the e_i images of K_{d+1},
     are the generators; each is returned as its nonzeros (degree, coords,
@@ -258,7 +261,7 @@ def _kept_columns(src, gens):
     generators `gens` of the kernel of a map out of src: all but the pivots
     of the rref of their `_unit_parts`."""
     parts = _unit_parts(src, gens)
-    units = gfp.zeros(len(parts), src.rank)
+    units = np.zeros((len(parts), src.rank), dtype=np.int64)
     for k, (cols, vals) in enumerate(parts):
         units[k, cols] = vals
     dropped = gfp.rref(units, src.alg.p)[1] if units.any() else []
@@ -390,30 +393,10 @@ def resolve_kernel_steps(phi, steps, resolver=None):
 # Cartan-complex Betti oracle
 
 
-def _cartan_differential(m, i, d):
-    """Map M_d (x) G_i -> M_{d-1} (x) G_{i-1}; block per divided monomial."""
-    nv = m.alg.nvars
-    src_g = exponent_vectors(nv, i)
-    tgt_g = exponent_vectors(nv, i - 1)
-    tgt_pos = {a: k for k, a in enumerate(tgt_g)}
-    md, md1 = m.dim(d), m.dim(d - 1)
-    D = gfp.zeros(md1 * len(tgt_g), md * len(src_g))
-    if md == 0 or md1 == 0:
-        return D
-    acts = [m.action(t, d) for t in range(nv)]
-    for col, alpha in enumerate(src_g):
-        for t in range(nv):
-            if alpha[t] == 0:
-                continue
-            beta = list(alpha)
-            beta[t] -= 1
-            row = tgt_pos[tuple(beta)]
-            D[row * md1:(row + 1) * md1, col * md:(col + 1) * md] = acts[t]
-    return D
-
-
 class CartanScanner:
-    """Cartan-strand Betti computation with differential ranks cached.
+    """Cartan-strand Betti computation with differential ranks cached; the
+    differential at (i, d) is D_i (x) M_d -> D_{i-1} (x) M_{d-1}, built from
+    the divided-power faces (`smod.strand_faces`).
 
     rank(D at level (i, d)) feeds both beta_{i, d-i} and beta_{i-1, d-i},
     so scanning a grid through one scanner does half the eliminations.
@@ -426,12 +409,9 @@ class CartanScanner:
     def _rank(self, i, d):
         key = (i, d)
         if key not in self._ranks:
-            if i <= 0 or self.m.dim(d) == 0 or self.m.dim(d - 1) == 0:
-                self._ranks[key] = 0
-            else:
-                D = _cartan_differential(self.m, i, d)
-                r, c = np.nonzero(D)
-                self._ranks[key] = gfp.rank(r, c, D[r, c], self.m.alg.p)
+            alg = self.m.alg
+            self._ranks[key] = 0 if i <= 0 else gfp.rank(*strand_nonzeros(
+                self.m, strand_faces(alg.nvars, i, divided=True), d, d - 1, alg.p), alg.p)
         return self._ranks[key]
 
     def betti(self, i, j):
@@ -556,22 +536,15 @@ def cone_extend(m):
     """
     alg2 = Algebra(m.alg.n + 1, m.alg.p)
     lo, hi = m.support()
-    dims = {}
-    for d in range(lo - 1, hi + 1):
-        dims[d] = m.dim(d) + m.dim(d + 1)
+    dims = {d: m.dim(d) + m.dim(d + 1) for d in range(lo - 1, hi + 1)}
     actions = {}
-    p = alg2.p
     for d in range(lo, hi + 1):
-        a, b = m.dim(d), m.dim(d + 1)       # slice d components
-        a1, b1 = m.dim(d - 1), m.dim(d)     # slice d-1 components
-        if dims.get(d, 0) == 0 or dims.get(d - 1, 0) == 0:
-            continue
+        a, a1 = m.dim(d), m.dim(d - 1)      # first components of slices d, d-1
         for i in range(m.alg.nvars):
-            blk = gfp.zeros(a1 + b1, a + b)
-            blk[:a1, :a] = m.action(i, d)
-            blk[a1:, a:] = np.mod(-m.action(i, d + 1), p)
-            actions[(i, d)] = blk
-        eps = gfp.zeros(a1 + b1, a + b)
-        eps[a1:, :a] = gfp.eye(a)
-        actions[(m.alg.nvars, d)] = eps
+            r0, c0, v0 = m.action_nonzeros(i, d)
+            r1, c1, v1 = m.action_nonzeros(i, d + 1)
+            actions[(i, d)] = (np.concatenate([r0, a1 + r1]), np.concatenate([c0, a + c1]),
+                               np.concatenate([v0, alg2.p - v1]))
+        eye = np.arange(a, dtype=np.int64)
+        actions[(m.alg.nvars, d)] = (a1 + eye, eye, np.ones(a, dtype=np.int64))
     return VectorizedModule(alg2, dims, actions)

@@ -80,10 +80,11 @@ class Algebra:
 
     @functools.cache
     def left_mul_nonzeros(self, mask, d):
-        """The nonzeros of left_mul_matrix(mask, d) as read-only int64 arrays
-        (rows, cols, values), sorted by column: m times a basis monomial
-        is 0 or plus or minus one basis monomial, distinct for distinct
-        basis monomials."""
+        """The nonzeros of x -> m*x (m the monomial `mask`, of |m|
+        variables) from E_d to E_{d-|m|}, as read-only int64 arrays (rows,
+        cols, values), sorted by column: m times a basis monomial is 0 or
+        plus or minus one basis monomial, distinct for distinct basis
+        monomials."""
         tgt_index = self.index(d - bin(mask).count("1"))
         rows, cols, vals = [], [], []
         for c, m in enumerate(self.basis(d)):
@@ -97,14 +98,6 @@ class Algebra:
             a.flags.writeable = False
         return arrays
 
-    @functools.cache
-    def left_mul_matrix(self, mask, d):
-        """Matrix of x -> m*x (m the monomial `mask`) from E_d to E_{d-deg}."""
-        rows, cols, vals = self.left_mul_nonzeros(mask, d)
-        mat = gfp.zeros(self.dim(d - bin(mask).count("1")), self.dim(d))
-        mat[rows, cols] = vals
-        mat.flags.writeable = False
-        return mat
 
 def mask_degree(mask):
     return -bin(mask).count("1")
@@ -216,7 +209,7 @@ class ExtElement:
         """For a degree -1 element, its coefficient vector over e_0..e_n."""
         if self.degree not in (-1,):
             raise ValueError("not a linear form")
-        out = np.zeros(self.alg.nvars)
+        out = np.zeros(self.alg.nvars, dtype=np.int64)
         for m, c in self.terms.items():
             out[mask_indices(m)[0]] = c
         return out

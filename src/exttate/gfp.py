@@ -1,17 +1,28 @@
 """Exact linear algebra over the prime field GF(p).
 
-Dense matrices are numpy float64 arrays whose entries are integers in
-[0, p).  `matmul` is exact as long as (p-1)^2 < 2^53: every product of two
-residues is then an integer that float64 represents exactly, and matmul
-chunks its inner dimension so accumulated dot products stay below 2^53 as
-well (Dumas-Giorgi-Pernet, ACM TOMS 2008).  `check_prime` enforces the
-bound; the largest accepted prime is 94,906,249.  The float64 form is
-left where the package holds dense slices: `matmul` in the commutativity
-checks (`VectorizedModule.check`, `SlicedModule.check_commutativity`) and
-in `vectorize_coker`; `kernel_nonzeros` and `nullspace` on the quotient
-slices of `smod.slice_presentation` and `vectorize_coker`; `echelon` and
-`rref` on the small unit matrix of `eres._kept_columns` and in
-`tate.descent`.
+Matrices are held as their nonzeros: integer arrays (rows, cols, vals)
+with residues in [0, p).  The module actions are held so
+(`smod.SlicedModule`, `efree.VectorizedModule`), and four functions
+serve them.  `product` multiplies two such matrices by a join on the
+inner index.  `quotient` takes a quotient slice as the kernel of the
+transposed image, and `project` maps unit vectors into it, which gives
+the actions on the quotient.  `noncommuting` checks that actions commute,
+or anticommute, with one `product` per degree.
+
+The dense float64 form is left in `matmul`, `nullspace` and in what
+`echelon` and `rref` return: numpy float64 arrays whose entries are
+integers in [0, p).  `matmul` is exact as long as (p-1)^2 < 2^53: every
+product of two residues is then an integer that float64 represents
+exactly, and matmul chunks its inner dimension so accumulated dot
+products stay below 2^53 as well (Dumas-Giorgi-Pernet, ACM TOMS 2008).
+`check_prime` enforces that bound for every prime, since any of them may
+meet these functions; the largest accepted prime is 94,906,249.  The
+package calls only `rref`, on the small int64 unit matrix of
+`eres._kept_columns` and in `tate.descent`, and reads only pivots and
+integer rows off it.  `echelon`, `rref`, `nullspace`, `matmul` and
+`random_matrix` keep their dense forms because the `TRACED` list of
+`bench/tracer.py` or `bench/tests` look them up, as they do
+`efree.GradedMap.slice_matrix`.
 
 Elimination is Gauss-Jordan on sparse rows: the lever of structured
 Gaussian elimination (Faugere-Lachartre, PASCO 2010), taken to single
@@ -23,30 +34,33 @@ inserted fewest nonzeros first and reduced at their leading column until
 they are zero or lead in a new pivot column.  One back-substitution,
 `_reduce`, gives the reduced form.  `echelon` writes it back into A;
 `triplet_kernel` reads a kernel basis off it, for triplet input (the
-Resolver's slice images) and for dense input through `kernel_nonzeros`
-alike.  Slice matrices stay sparse through this: the largest image of
-ell=3 `betti --direct --imax 6` has 7,875 columns and 16,020 nonzeros
-(0.05%), and over the eliminations of a (1; 2) census at n=7, the
-cohomology of the twisted cubic and the elliptic quartic, two (1,1; 1,1)
-and (1; 2) censuses at n=4, `mccullough --ell 2` and ell=3 `betti
---direct --imax 4`, none with both sides at least 32 ended more than
-13.6% dense.
+Resolver's slice images, the transposed images of `quotient`) and for
+dense input through `kernel_nonzeros` alike.  Slice matrices stay sparse
+through this: the largest image of ell=3 `betti --direct --imax 6` has
+7,875 columns and 16,020 nonzeros (0.05%), and over the eliminations of
+a (1; 2) census at n=7, the cohomology of the twisted cubic and the
+elliptic quartic, two (1,1; 1,1) and (1; 2) censuses at n=4,
+`mccullough --ell 2` and ell=3 `betti --direct --imax 4`, none with both
+sides at least 32 ended more than 13.6% dense.
 
 `rank` needs neither the back-substitution nor a dense form: it takes
 triplets and counts the pivots of `_insert_rows`, which are those of the
 reduced form.  Every matrix the package ranks is assembled as triplets:
 the slices of a `GradedMap` (`slice_nonzeros`), which
 `bgg.graded_map_homology` ranks for every Tate exactness check, the
-Koszul differentials of `smod.koszul_rank`, and the Cartan differentials
-of `eres.CartanScanner`, still built dense and passed as their nonzeros.
+Koszul differentials of `smod.koszul_rank` and the Cartan differentials
+of `eres.CartanScanner`, both from `smod.strand_nonzeros`.
 Ranking them through `echelon`, which wrote the reduced form back into a
 float64 copy, `cohomology --format json --window -4..6` took 17-18, 43-47,
 29-31 and 10 ms on the plane cubic, elliptic quartic, twisted cubic and
 coker diag(x0, x1) inputs of the benchmark; from triplets it takes 13-14,
 29-30, 21-22 and 8-9 ms (in-process medians of 10 runs, three alternated
-rounds, one thread, shared 2-core VM).  The smooth quadric in P^5, whose
-dense Koszul differentials took the run past 7 GB, now takes about 5 s
-at 455 MB.
+rounds, one thread, shared 2-core VM).  The smooth quadric in P^5
+(`cohomology --window -1..3`), whose dense Koszul differentials took the
+run past 7 GB, took about 5 s at 455 MB with dense actions and
+commutativity checks, and takes about 2.3 s at 50 MB with them as
+nonzeros.  The quadric in P^6, which ran out of memory under a 3 GB cap
+in `slice_presentation`, takes about 23 s at 210 MB.
 
 Callers read only canonical results, which do not depend on how the
 elimination ran: `rank`; the reduced row echelon form from `rref` and
@@ -86,6 +100,11 @@ without it (best of 5, one thread, shared 2-core VM).
 
 import numpy as np
 
+# The nonzeros (rows, cols, vals) of a zero matrix.
+NO_ENTRIES = tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+for _a in NO_ENTRIES:
+    _a.flags.writeable = False
+
 
 def _is_prime(n):
     if n < 2:
@@ -105,8 +124,8 @@ def check_prime(p):
     if not _is_prime(p):
         raise ValueError("modulus %r is not prime" % (p,))
     if (p - 1) ** 2 >= 1 << 53:
-        raise ValueError("modulus %d is too large: (p-1)^2 must stay below 2^53 "
-                         "for exact float64 matmul" % p)
+        raise ValueError("modulus %d is too large: (p-1)^2 must stay below 2^53, "
+                         "where the dense float64 forms of gfp are exact" % p)
 
 
 def _mod(a, p):
@@ -336,6 +355,74 @@ def sum_nonzeros(key, vals, p):
         key, vals = key[first], np.add.reduceat(vals, first) % p
     nonzero = vals != 0
     return key[nonzero], vals[nonzero]
+
+
+def product(a, b, n, p):
+    """The nonzeros (rows, cols, vals) of a @ b mod p, for matrices given
+    by their nonzeros (rows, cols, vals), b with n columns: each nonzero
+    of b at (s, c) meets every nonzero of a in column s, and the products
+    that meet at one (row, column) are summed (`sum_nonzeros`).  The
+    result is in row-major order, with no zero value."""
+    ar, ac, av = a
+    br, bc, bv = b
+    order = np.argsort(ac, kind="stable")
+    ac = np.asarray(ac)[order]
+    lo = np.searchsorted(ac, br)
+    cnt = np.searchsorted(ac, br, side="right") - lo
+    at = order[np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())]
+    key, vals = sum_nonzeros(np.asarray(ar, dtype=np.int64)[at] * n + np.repeat(bc, cnt),
+                             np.asarray(av, dtype=np.int64)[at] * np.repeat(bv, cnt), p)
+    return (*np.divmod(key, max(n, 1)), vals)
+
+
+def quotient(rows, cols, vals, n, p):
+    """The quotient of GF(p)^n by the column span of the matrix with n rows
+    whose nonzeros are (rows, cols, vals), entries that meet at one (row,
+    column) summed: `triplet_kernel` of its transpose, (n, free, vec,
+    coord, val).  The unit vectors at the coordinates `free` map to the
+    quotient basis, and the projection onto it sends the unit vector e_s to
+    the entries at s of the kernel vectors (`project`): they are the rows
+    of the projection, which kills the columns and is the identity on
+    `free`."""
+    key, vals = sum_nonzeros(np.asarray(cols, dtype=np.int64) * n + rows, vals, p)
+    return triplet_kernel(*np.divmod(key, max(n, 1)), vals, n, p)
+
+
+def project(kernel, coords, vals, p):
+    """The nonzeros of the matrix whose column k is vals[k] times the unit
+    vector coords[k] of the ambient of a `quotient` (a zero column where
+    coords[k] < 0), projected onto its basis: one `product` with the
+    kernel vectors as rows."""
+    _, _, vec, coord, val = kernel
+    cols = np.flatnonzero(coords >= 0)
+    return product((vec, coord, val), (coords[cols], cols, vals[cols]), len(coords), p)
+
+
+def noncommuting(inner, outer, na, nc, sign, p):
+    """The first pair i <= j, in lexicographic order, with
+    outer[j] @ inner[i] != sign * outer[i] @ inner[j] mod p, or None.
+
+    inner[i] maps a space of dimension na to a middle one and outer[i] the
+    middle one to a space of dimension nc, both as nonzeros (rows, cols,
+    vals).  Every product comes from one `product`: the outer maps stacked
+    by rows times the inner maps stacked by columns, whose block (j, i) is
+    outer[j] @ inner[i].  A block counts +1 towards the pair (i, j) if
+    i <= j and -sign towards (j, i) if j <= i, so the pair i = j asks
+    (1 - sign) outer[i] @ inner[i] = 0, which always holds for sign = 1.
+    """
+    nv = len(inner)
+
+    def stack(maps, k, width):
+        """The maps' nonzeros with field k of map j moved by j * width."""
+        return tuple(np.concatenate([np.asarray(m[t], dtype=np.int64) + j * width * (t == k)
+                                     for j, m in enumerate(maps)]) for t in range(3))
+
+    rows, cols, vals = product(stack(outer, 0, nc), stack(inner, 1, na), nv * na, p)
+    j, r = np.divmod(rows, max(nc, 1))
+    i, c = np.divmod(cols, max(na, 1))
+    key, _ = sum_nonzeros(((np.minimum(i, j) * nv + np.maximum(i, j)) * nc + r) * na + c,
+                          vals * ((i <= j).astype(np.int64) - sign * (j <= i)), p)
+    return divmod(int(key[0]) // (nc * na), nv) if key.size else None
 
 
 def extend_column_basis(vecs, coords, vals, nk, p):

@@ -1,21 +1,23 @@
 """Graded Sym(V)-modules as windows of degree slices.
 
 A module over S = GF(p)[x_0..x_n] is held as dimensions M_d for d in a
-finite window plus, for each variable, the multiplication matrices
-M_d -> M_{d+1}.  That is all the downstream constructions need (the BGG
-functor and Tate starts only look at slices above some degree), so no
-Groebner machinery appears anywhere: ingestion from a polynomial
-presentation is monomial-basis linear algebra degree by degree.  Monomial
+finite window plus, for each variable, the multiplication map
+M_d -> M_{d+1} as its nonzeros (rows, cols, vals).  That is all the
+downstream constructions need (the BGG functor and Tate starts only look
+at slices above some degree), so no Groebner machinery appears anywhere:
+ingestion from a polynomial presentation is monomial-basis linear
+algebra degree by degree.  Monomial
 multiplication is an index map (`PolyRing.mul_index`): x^a sends each
 basis monomial of S_d to exactly one of S_{d+|a|}, so relation images and
 the x_i actions are written and read by position, with no shift matrix.
 
 Regularity (`reg_S`) comes from one scan of the Koszul Betti diagonals;
 each module ranks every Koszul differential once, from its nonzeros: the
-x_t actions' nonzeros, found once per module, placed by the wedge index
-maps (`_wedge_faces`), with no dense differential built.  The monomial bases of
-S and their index maps are cached per (n, p) and shared by every
-PolyRing(n, p).
+x_t actions' nonzeros placed by the wedge index maps (`strand_faces`,
+`strand_nonzeros`, which build the Cartan strands of `eres` from
+divided powers too), with no dense differential built.  The monomial
+bases of S and their index maps are cached per (n, p) and shared by
+every PolyRing(n, p).
 """
 
 import functools
@@ -173,35 +175,27 @@ class SPresentation:
 class SlicedModule:
     """Finite window of degree slices with the multiplication maps.
 
-    mult[(i, d)] maps M_d to M_{d+1}; commutativity of the x_i actions is
+    actions[(i, d)] is x_i : M_d -> M_{d+1} as its nonzeros (rows, cols,
+    vals): int64 arrays, each (row, column) at most once, vals in [1, p);
+    a missing key is the zero map.  Commutativity of the x_i actions is
     verified at construction and violations raise DomainError.  `checked`
     records that the check passed; a module built with check=False is
     unchecked unless it is derived (`truncate`, `shift_grading`,
     `extend_variable`) from a checked one, whose record it carries.
     """
 
-    def __init__(self, ring, window, dims, mult, check=True, complete_below=False):
+    def __init__(self, ring, window, dims, actions, check=True, complete_below=False):
         self.ring = ring
         self.lo, self.hi = int(window[0]), int(window[1])
         self.complete_below = bool(complete_below)
         if self.lo > self.hi:
             raise DomainError("empty window %r" % (window,))
         self.dims = {d: int(dims.get(d, 0)) for d in range(self.lo, self.hi + 1)}
-        self.mult = {}
-        for d in range(self.lo, self.hi):
-            for i in range(ring.nvars):
-                mat = mult.get((i, d))
-                if mat is None:
-                    mat = gfp.zeros(self.dims[d + 1], self.dims[d])
-                if mat.shape != (self.dims[d + 1], self.dims[d]):
-                    raise DomainError("mult (x_%d, %d) has shape %s, wants %s"
-                                      % (i, d, mat.shape, (self.dims[d + 1], self.dims[d])))
-                self.mult[(i, d)] = mat
+        self.actions = dict(actions)
         self.checked = False
         if check:
             self.check_commutativity()
         self._koszul_ranks = {}
-        self._nonzeros = {}
 
     def dim(self, d):
         return self.dims.get(d, 0)
@@ -209,21 +203,9 @@ class SlicedModule:
     def window(self):
         return (self.lo, self.hi)
 
-    def action(self, i, d):
-        key = (i, d)
-        if key in self.mult:
-            return self.mult[key]
-        return gfp.zeros(self.dim(d + 1), self.dim(d))
-
     def action_nonzeros(self, i, d):
-        """The nonzeros (rows, cols, int64 values) of action(i, d), found
-        once: every Koszul differential out of slice d reads them."""
-        key = (i, d)
-        if key not in self._nonzeros:
-            act = self.action(i, d)
-            r, c = np.nonzero(act)
-            self._nonzeros[key] = r, c, act[r, c].astype(np.int64)
-        return self._nonzeros[key]
+        """The nonzeros (rows, cols, vals) of x_i : M_d -> M_{d+1}."""
+        return self.actions.get((i, d), gfp.NO_ENTRIES)
 
     def koszul_rank(self, i, d):
         """Rank of the Koszul differential out of wedge^i V (x) M_d, memoized."""
@@ -233,15 +215,15 @@ class SlicedModule:
         return self._koszul_ranks[key]
 
     def check_commutativity(self):
-        p = self.ring.p
+        """x_j x_i = x_i x_j on every slice (`gfp.noncommuting`, one
+        product per degree); DomainError names the first pair that fails."""
+        nv = self.ring.nvars
         for d in range(self.lo, self.hi - 1):
-            for i in range(self.ring.nvars):
-                for j in range(i + 1, self.ring.nvars):
-                    ij = gfp.matmul(self.action(j, d + 1), self.action(i, d), p)
-                    ji = gfp.matmul(self.action(i, d + 1), self.action(j, d), p)
-                    if not np.array_equal(ij, ji):
-                        raise DomainError(
-                            "x_%d and x_%d fail to commute from degree %d" % (i, j, d))
+            pair = gfp.noncommuting([self.action_nonzeros(i, d) for i in range(nv)],
+                                    [self.action_nonzeros(j, d + 1) for j in range(nv)],
+                                    self.dim(d), self.dim(d + 2), 1, self.ring.p)
+            if pair:
+                raise DomainError("x_%d and x_%d fail to commute from degree %d" % (*pair, d))
         self.checked = True
         return True
 
@@ -259,43 +241,41 @@ class SlicedModule:
 def slice_presentation(pres, window):
     """SlicedModule of coker(pres) over the window, by monomial linear algebra.
 
-    Slice d is the quotient of the free slice by the relations' image, held
-    as the pair (N, free) of `gfp.nullspace` of the transposed image: the
-    quotient basis is the coordinates `free` and N.T projects onto it.  The
-    image is written through index maps: relation c times the monomials of
-    S_{d - deg c} puts each term's coefficient of entry (r, c) at the rows
-    of generator r's block that `mul_index` names.  Since x_i sends each
-    free basis monomial to one free basis monomial, x_i acts as the columns
-    of N_{d+1}.T at the images of the coordinates `free` of slice d.
+    Slice d is the `gfp.quotient` of the free slice by the relations'
+    image, whose basis is the free-slice coordinates `free`.  The image is
+    written as nonzeros through index maps: relation c times the monomials
+    of S_{d - deg c} puts each term's coefficient of entry (r, c) at the
+    rows of generator r's block that `mul_index` names.  Since x_i sends
+    each free basis monomial to one free basis monomial, x_i sends basis
+    vector k of slice d to the unit vector at the image of coordinate
+    free[k], projected onto slice d+1 (`gfp.project`).
     """
     ring = pres.ring
     lo, hi = int(window[0]), int(window[1])
     p = ring.p
     quot = {}
-    dims = {}
     for d in range(lo, hi + 1):
         offs = np.cumsum([0] + [ring.dim(d - g) for g in pres.row_degrees])
         cstart = np.cumsum([0] + [ring.dim(d - cg) for cg in pres.col_degrees])
-        image = gfp.zeros(offs[-1], cstart[-1])
+        parts = [gfp.NO_ENTRIES]
         for (r, c), poly in pres.entries.items():
             k = d - pres.col_degrees[c]
             cols = cstart[c] + np.arange(ring.dim(k))
-            for e, coeff in poly.items():
-                image[offs[r] + ring.mul_index(e, k), cols] = coeff % p
-        N, free = gfp.nullspace(image.T, p)
-        quot[d] = (N.T, free, offs)
-        dims[d] = len(free)
+            parts += [(offs[r] + ring.mul_index(e, k), cols, np.full(cols.size, coeff))
+                      for e, coeff in poly.items()]
+        quot[d] = gfp.quotient(*map(np.concatenate, zip(*parts)), offs[-1], p), offs
     units = [tuple(int(t == i) for t in range(ring.nvars)) for i in range(ring.nvars)]
-    mult = {}
+    actions = {}
     for d in range(lo, hi):
-        free0 = quot[d][1]
-        proj1, _, offs1 = quot[d + 1]
+        free0 = quot[d][0][1]
+        kernel1, offs1 = quot[d + 1]
         for i, unit in enumerate(units):
             rows = np.concatenate([np.zeros(0, dtype=np.intp)] + [
                 offs1[r] + ring.mul_index(unit, d - g) for r, g in enumerate(pres.row_degrees)])
-            mult[(i, d)] = proj1[:, rows[free0]]
+            actions[(i, d)] = gfp.project(kernel1, rows[free0], np.ones(free0.size, np.int64), p)
+    dims = {d: len(kernel[1]) for d, (kernel, _) in quot.items()}
     complete = (not pres.row_degrees) or lo <= min(pres.row_degrees)
-    return SlicedModule(ring, (lo, hi), dims, mult, complete_below=complete)
+    return SlicedModule(ring, (lo, hi), dims, actions, complete_below=complete)
 
 
 def truncate(m, k):
@@ -303,23 +283,23 @@ def truncate(m, k):
     if k < m.lo or k > m.hi:
         m.require(min(k, m.lo), max(k, m.hi), "truncate at %d" % k)
     dims = {d: (m.dim(d) if d >= k else 0) for d in range(m.lo, m.hi + 1)}
-    mult = {(i, d): a for (i, d), a in m.mult.items() if d >= k}
-    return _derived(m, SlicedModule(m.ring, (m.lo, m.hi), dims, mult, check=False,
+    actions = {(i, d): a for (i, d), a in m.actions.items() if d >= k}
+    return _derived(m, SlicedModule(m.ring, (m.lo, m.hi), dims, actions, check=False,
                                     complete_below=True))
 
 
 def extend_variable(m):
     """Same slices over one more variable; x_{n+1} acts by zero."""
     ring2 = PolyRing(m.ring.n + 1, m.ring.p)
-    return _derived(m, SlicedModule(ring2, (m.lo, m.hi), dict(m.dims), m.mult,
+    return _derived(m, SlicedModule(ring2, (m.lo, m.hi), dict(m.dims), m.actions,
                                     check=False, complete_below=m.complete_below))
 
 
 def shift_grading(m, t):
     """m(t) in the twist sense: slice d of the result is m_{d+t}."""
     dims = {d - t: m.dim(d) for d in range(m.lo, m.hi + 1)}
-    mult = {(i, d - t): a for (i, d), a in m.mult.items()}
-    return _derived(m, SlicedModule(m.ring, (m.lo - t, m.hi - t), dims, mult,
+    actions = {(i, d - t): a for (i, d), a in m.actions.items()}
+    return _derived(m, SlicedModule(m.ring, (m.lo - t, m.hi - t), dims, actions,
                                     check=False, complete_below=m.complete_below))
 
 
@@ -335,36 +315,48 @@ def _derived(m, out):
 
 
 @functools.cache
-def _wedge_faces(nv, i):
-    """The faces of wedge^i V -> wedge^{i-1} V for each variable t: int64
-    arrays of the i-subsets S holding t, the (i-1)-subset S minus t and
-    whether t sits at an odd place of S (sign -1), as indices in
-    `combinations` order."""
-    tgt_pos = {s: k for k, s in enumerate(combinations(range(nv), i - 1))}
+def strand_faces(nv, i, divided=False):
+    """The faces of wedge^i V -> wedge^{i-1} V, or with divided=True of the
+    divided powers D_i -> D_{i-1}, for each variable t: int64 arrays of
+    the i-subsets (i-multisets) S holding t, S less one t, and whether t
+    sits at an odd place of S (sign -1; never in D), as indices in
+    `combinations` order (`combinations_with_replacement`, the order of
+    `exponent_vectors`)."""
+    pick = combinations_with_replacement if divided else combinations
+    tgt_pos = {s: k for k, s in enumerate(pick(range(nv), i - 1))}
     faces = [([], [], []) for _ in range(nv)]
-    for col, subset in enumerate(combinations(range(nv), i)):
+    for col, subset in enumerate(pick(range(nv), i)):
         for k, t in enumerate(subset):
-            cols, rows, odd = faces[t]
-            cols.append(col)
-            rows.append(tgt_pos[subset[:k] + subset[k + 1:]])
-            odd.append(k % 2)
+            if subset[k - 1:k] != (t,):
+                cols, rows, odd = faces[t]
+                cols.append(col)
+                rows.append(tgt_pos[subset[:k] + subset[k + 1:]])
+                odd.append(k % 2 and not divided)
     return [tuple(np.array(x, dtype=np.int64) for x in face) for face in faces]
 
 
-def _koszul_nonzeros(m, i, d):
-    """The nonzeros (rows, cols, values) of the Koszul differential
-    wedge^i V (x) M_d -> wedge^{i-1} V (x) M_{d+1}: the x_t action's
-    nonzeros, signed, in the block (S minus t, S) of each face of
-    `_wedge_faces`.  Blocks are disjoint, so no (row, column) repeats."""
-    md, md1 = m.dim(d), m.dim(d + 1)
-    p = m.ring.p
-    parts = [(np.zeros(0, dtype=np.int64),) * 3]
-    for t, (cols, rows, odd) in enumerate(_wedge_faces(m.ring.nvars, i)):
+def strand_nonzeros(m, faces, d, d1, p):
+    """The nonzeros (rows, cols, values) of the strand differential
+    F_i (x) M_d -> F_{i-1} (x) M_{d1} with the faces `faces` of
+    `strand_faces`: the t-th action's nonzeros out of M_d, signed, in the
+    block (S less t, S) of each face of t.  Blocks are disjoint, so no (row, column)
+    repeats.  It builds the Koszul differentials of an S-module
+    (`_koszul_nonzeros`) and the Cartan differentials of an E-module
+    (`eres.CartanScanner`)."""
+    md, md1 = m.dim(d), m.dim(d1)
+    parts = [gfp.NO_ENTRIES]
+    for t, (cols, rows, odd) in enumerate(faces):
         r, c, v = m.action_nonzeros(t, d)
         if r.size and cols.size:
             parts.append(((rows[:, None] * md1 + r).ravel(), (cols[:, None] * md + c).ravel(),
                           np.where(odd[:, None] == 1, p - v, v).ravel()))
     return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _koszul_nonzeros(m, i, d):
+    """The Koszul differential wedge^i V (x) M_d -> wedge^{i-1} V (x) M_{d+1}
+    as its nonzeros (`strand_nonzeros`)."""
+    return strand_nonzeros(m, strand_faces(m.ring.nvars, i), d, d + 1, m.ring.p)
 
 
 def koszul_betti(m, i, j):

@@ -278,6 +278,6 @@ def descent(window, reg_upper):
         rows.append(e.linear_coeffs())
     if not rows:
         return -1, []
-    R, piv = gfp.rref(np.array(rows, dtype=np.float64), alg.p)
+    R, piv = gfp.rref(np.array(rows), alg.p)
     basis = [from_coeff_vector(alg, -1, R[t]) for t in range(len(piv))]
     return len(piv) - 1, basis

@@ -11,7 +11,8 @@ from exttate.errors import DomainError
 from exttate.extalg import Algebra, ExtElement, random_element
 from exttate.efree import FreeEModule, GradedMap, VectorizedModule, vectorize_coker
 from exttate.eres import Resolver, regularity
-from exttate.smod import PolyRing, SPresentation, parse_poly, slice_presentation
+from exttate.smod import (PolyRing, SPresentation, SlicedModule, exponent_vectors, parse_poly,
+                          slice_presentation)
 
 
 class ModuleAmbient(VectorizedModule):
@@ -21,17 +22,123 @@ class ModuleAmbient(VectorizedModule):
     def act(self, i, d, vec, coord, val):
         """The nonzeros (vector, row, value) in slice d-1 of the e_i images
         of the vectors of slice d with val[t] at coord[t] in vector vec[t],
-        as a join with the column-sorted nonzeros of action(i, d): a
-        nonzero at coordinate s meets each nonzero in column s, so a column
-        can give several and (vector, row) pairs repeat."""
-        mat = self.action(i, d)
-        cols, rows = np.nonzero(mat.T)
-        vals = mat[rows, cols]
+        as a join with the column-sorted nonzeros of the action: a nonzero
+        at coordinate s meets each nonzero in column s, so a column can
+        give several and (vector, row) pairs repeat."""
+        rows, cols, vals = self.action_nonzeros(i, d)
+        order = np.argsort(cols, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
         lo = np.searchsorted(cols, coord)
         cnt = np.searchsorted(cols, coord, side="right") - lo
         at = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
-        return (np.repeat(vec, cnt), rows[at],
-                np.repeat(val, cnt) * vals[at].astype(np.int64) % self.alg.p)
+        return np.repeat(vec, cnt), rows[at], np.repeat(val, cnt) * vals[at] % self.alg.p
+
+
+def nonzeros(a):
+    """The nonzeros (rows, cols, int64 vals) of a dense matrix."""
+    r, c = np.nonzero(a)
+    return r, c, np.asarray(a)[r, c].astype(np.int64)
+
+
+def dense_action(m, i, d):
+    """Action i out of slice d as a dense matrix, the form the modules held
+    before their nonzeros: e_i to slice d-1 of a FreeEModule (from its
+    `action_table`) or a VectorizedModule, x_i to slice d+1 of a
+    SlicedModule."""
+    if isinstance(m, FreeEModule):
+        rows, signs = m.action_table(d)
+        return np.mod(table_matrix(rows, signs, i, m.slice_dim(d - 1)), m.alg.p)
+    r, c, v = m.action_nonzeros(i, d)
+    out = gfp.zeros(m.dim(d + 1 if isinstance(m, SlicedModule) else d - 1), m.dim(d))
+    out[r, c] = v
+    return out
+
+
+def bumped(m, key, data, p):
+    """m's actions with one entry of action `key`, drawn from `data`, raised
+    by a drawn nonzero amount mod p."""
+    a = dense_action(m, *key)
+    r = data.draw(st.integers(0, a.shape[0] - 1))
+    c = data.draw(st.integers(0, a.shape[1] - 1))
+    a[r, c] = (a[r, c] + data.draw(st.integers(1, p - 1))) % p
+    return {**m.actions, key: nonzeros(a)}
+
+
+def dense_first_noncommuting(m):
+    """The pairwise dense matmul loops that `gfp.noncommuting` replaced, kept
+    as its oracle: the DomainError message the module's check raises, or
+    None if its actions commute (S) or anticommute (E)."""
+    if isinstance(m, SlicedModule):
+        p, nv = m.ring.p, m.ring.nvars
+        for d in range(m.lo, m.hi - 1):
+            for i in range(nv):
+                for j in range(i + 1, nv):
+                    ij = gfp.matmul(dense_action(m, j, d + 1), dense_action(m, i, d), p)
+                    ji = gfp.matmul(dense_action(m, i, d + 1), dense_action(m, j, d), p)
+                    if not np.array_equal(ij, ji):
+                        return "x_%d and x_%d fail to commute from degree %d" % (i, j, d)
+        return None
+    p, nv = m.alg.p, m.alg.nvars
+    lo, hi = m.support()
+    for d in range(hi, lo, -1):
+        for i in range(nv):
+            for j in range(i, nv):
+                ab = gfp.matmul(dense_action(m, i, d - 1), dense_action(m, j, d), p)
+                ba = gfp.matmul(dense_action(m, j, d - 1), dense_action(m, i, d), p)
+                if np.mod(ab + ba, p).any():
+                    return "actions e_%d, e_%d fail to anticommute at degree %d" % (i, j, d)
+    return None
+
+
+def dense_cartan_differential(m, i, d):
+    """M_d (x) D_i -> M_{d-1} (x) D_{i-1}, one block per divided monomial:
+    the dense builder that the Cartan strand's nonzeros replaced, kept as
+    their oracle."""
+    nv = m.alg.nvars
+    src_g = exponent_vectors(nv, i)
+    tgt_pos = {a: k for k, a in enumerate(exponent_vectors(nv, i - 1))}
+    md, md1 = m.dim(d), m.dim(d - 1)
+    D = gfp.zeros(md1 * len(tgt_pos), md * len(src_g))
+    if md == 0 or md1 == 0:
+        return D
+    for col, alpha in enumerate(src_g):
+        for t in range(nv):
+            if alpha[t]:
+                beta = list(alpha)
+                beta[t] -= 1
+                row = tgt_pos[tuple(beta)]
+                D[row * md1:(row + 1) * md1, col * md:(col + 1) * md] = dense_action(m, t, d)
+    return D
+
+
+def dense_coker(f):
+    """coker(f) as (dims, dense actions) by the dense `gfp.nullspace` and
+    `gfp.matmul` form that `vectorize_coker` replaced, kept as its oracle:
+    slice d is the pair (N, free) of the nullspace of the transposed
+    image, and e_i acts as N_{d-1}.T times the columns `free` of the
+    target's action."""
+    p = f.alg.p
+    tgt = f.target
+    lo, hi = tgt.degree_range()
+    quot = {d: gfp.nullspace(f.slice_matrix(d).T, p)
+            for d in range(lo, hi + 1) if tgt.slice_dim(d)}
+    dims = {d: len(free) for d, (_, free) in quot.items() if len(free)}
+    actions = {}
+    for d in range(lo + 1, hi + 1):
+        if dims.get(d) and dims.get(d - 1):
+            for i in range(f.alg.nvars):
+                actions[(i, d)] = gfp.matmul(quot[d - 1][0].T,
+                                             dense_action(tgt, i, d)[:, quot[d][1]], p)
+    return dims, actions
+
+
+def left_mul_matrix(alg, mask, d):
+    """Matrix of x -> m*x (m the monomial `mask`, of |m| variables) from
+    E_d to E_{d-|m|}, from `Algebra.left_mul_nonzeros`."""
+    rows, cols, vals = alg.left_mul_nonzeros(mask, d)
+    mat = gfp.zeros(alg.dim(d - bin(mask).count("1")), alg.dim(d))
+    mat[rows, cols] = vals
+    return mat
 
 
 def right_mul_matrix(alg, i, d):
@@ -56,13 +163,17 @@ def table_matrix(rows, signs, i, n_rows):
 
 
 def free_as_vectorized(f):
-    """A free module's own slice data, with the nonzeros of its action."""
+    """A free module's own slice data, with the nonzeros of its action read
+    off `action_table`."""
     lo, hi = f.degree_range()
     dims = {d: f.slice_dim(d) for d in range(lo, hi + 1)}
     actions = {}
     for d in range(lo + 1, hi + 1):
+        rows, signs = f.action_table(d)
         for i in range(f.alg.nvars):
-            actions[(i, d)] = f.action(i, d)
+            cols = np.flatnonzero(rows[i] >= 0)
+            actions[(i, d)] = (rows[i, cols].astype(np.int64), cols,
+                               signs[i, cols].astype(np.int64) % f.alg.p)
     return ModuleAmbient(f.alg, dims, actions)
 
 
@@ -222,7 +333,7 @@ def dense_slice_matrix(f, d):
             continue
         block = gfp.zeros(alg.dim(td), alg.dim(sd))
         for mask, coeff in e.terms.items():
-            block += alg.left_mul_matrix(mask, sd) * coeff
+            block += left_mul_matrix(alg, mask, sd) * coeff
         out[ro[r]:ro[r] + block.shape[0], co[c]:co[c] + block.shape[1]] = np.mod(block, alg.p)
     return out
 
@@ -244,7 +355,7 @@ def dense_koszul_differential(m, i, d):
             row = tgt_pos[subset[:k] + subset[k + 1:]]
             sgn = 1 if k % 2 == 0 else p - 1
             D[row * md1:(row + 1) * md1, col * md:(col + 1) * md] = \
-                np.mod(m.action(t, d) * sgn, p)
+                np.mod(dense_action(m, t, d) * sgn, p)
     return D
 
 

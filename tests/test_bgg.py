@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (dense_rank, dense_slice_matrix, free_presentation, random_graded_map,
-                      random_sliced_module)
+from conftest import (dense_action, dense_rank, dense_slice_matrix, free_presentation,
+                      nonzeros, random_graded_map, random_sliced_module)
 from exttate.cli import main
 from exttate.errors import DomainError
 from exttate.bgg import bgg_L_read, bgg_R, graded_map_homology
@@ -52,9 +52,10 @@ def test_bgg_R_rejects_noncommuting_actions():
     """d o d = 0 is asserted as commuting x_i actions, so a module built
     without the constructor's check is caught here."""
     m = S_sliced(1, (0, 2))
-    mult = {(i, d): m.action(i, d).copy() for i in range(2) for d in range(2)}
-    mult[(1, 1)][0, 0] = (mult[(1, 1)][0, 0] + 1) % P
-    bad = SlicedModule(m.ring, (0, 2), dict(m.dims), mult, check=False)
+    corrupt = dense_action(m, 1, 1)
+    corrupt[0, 0] = (corrupt[0, 0] + 1) % P
+    bad = SlicedModule(m.ring, (0, 2), dict(m.dims), {**m.actions, (1, 1): nonzeros(corrupt)},
+                       check=False)
     assert not bad.checked and not truncate(bad, 0).checked
     for unchecked in (bad, truncate(bad, 0)):
         with pytest.raises(DomainError):
@@ -87,7 +88,7 @@ def test_round_trip():
     assert back.hilbert() == m.hilbert()
     for d in range(0, 3):
         for t in range(2):
-            assert np.array_equal(back.action(t, d), m.action(t, d))
+            assert np.array_equal(dense_action(back, t, d), dense_action(m, t, d))
 
 
 @settings(max_examples=100, deadline=None)
@@ -99,7 +100,7 @@ def test_round_trip_property(n, p, seed):
     assert back.hilbert() == m.hilbert()
     for d in range(m.lo, m.hi):
         for t in range(m.ring.nvars):
-            assert np.array_equal(back.action(t, d), m.action(t, d)), (t, d)
+            assert np.array_equal(dense_action(back, t, d), dense_action(m, t, d)), (t, d)
 
 
 def test_broken_complex_rejected():

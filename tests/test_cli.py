@@ -229,6 +229,17 @@ entry 5 3 : e0*e1
 """
 
 
+# generators in degrees 0 and 1, relations of degree 2
+MIXED_DEGREES = """ring n=2 p=101
+rowdegs=[0,1] coldegs=[2,2]
+entry 0 0 : x0^2 + x1*x2
+entry 1 0 : x2
+entry 1 1 : x0 + 3*x1
+"""
+
+BENCH_INPUTS = Path(__file__).parents[1] / "bench" / "inputs"
+
+
 # a unit entry at (0, 0) and two equal columns: coker(phi) and coker(phi-dual)
 # are presented non-minimally, in both ways
 UNIT_AND_REPEAT = """ealg n=2 p=101
@@ -258,19 +269,50 @@ entry 1 2 : e0*e2
     (["reg", "--ematrix", "{unit}"], "regularity = 0 (certified)\n"),
     (["alpha", "--ematrix", "{unit}", "--direct", "--k-range", "-3..1"],
      "alpha_-3 = -3\nalpha_-2 = 2\nalpha_-1 = -1\nalpha_0 = 0\nalpha_1 = 1\n"),
+    (["alpha", "--ematrix", "{quadric}", "--direct", "--k-range", "-4..2", "--check-hilbert"],
+     ('alpha_-4 = 0\n'
+     'alpha_-3 = 0\n'
+     'alpha_-2 = -1\n'
+     'alpha_-1 = 0\n'
+     'alpha_0 = 1\n'
+     'alpha_1 = 0\n'
+     'alpha_2 = 0\n'
+     'degree -3: dim = 14, alpha formula = 14\n'
+     'degree -2: dim = 14, alpha formula = 14\n'
+     'degree -1: dim = 6, alpha formula = 6\n'
+     'degree 0: dim = 1, alpha formula = 1\n')),
+    (["alpha", "--ematrix", "{quadric}", "--k-range", "-4..2", "--check-hilbert"],
+     ('alpha_-4 = -70\n'
+     'alpha_-3 = 14\n'
+     'alpha_-2 = 0\n'
+     'alpha_-1 = 0\n'
+     'alpha_0 = -1\n'
+     'alpha_1 = 0\n'
+     'alpha_2 = 1\n'
+     'degree -1: dim = 14, alpha formula = 14\n'
+     'degree 0: dim = 14, alpha formula = 14\n'
+     'degree 1: dim = 6, alpha formula = 6\n'
+     'degree 2: dim = 1, alpha formula = 1\n')),
+    (["cohomology", "--module", "{mixed}", "--format", "json", "--window", "-3..4"],
+     '{"anomalies": [], "entries": [[0, 0, 1], [0, 1, 4], [0, 2, 7], [0, 3, 10], [0, 4, 13], '
+     '[1, -4, 11], [1, -3, 8], [1, -2, 5], [1, -1, 2]], "n": 2, "window": [-3, 4]}\n'),
 ], ids=["tate-matrices-cubic", "descend-point-n3", "betti-point-n3", "reg-point-n3",
         "betti-direct-unit", "betti-unit", "betti-direct-unit-step-0", "reg-unit",
-        "alpha-direct-unit"])
+        "alpha-direct-unit", "alpha-direct-quadric", "alpha-quadric", "cohomology-mixed-degrees"])
 def test_golden_stdout(capsys, tmp_path, cubic_file, argv, want):
     """Whole stdout, byte for byte: the Tate differentials and descent spans
     print the matrices the Resolver chose, not only Betti numbers; the
-    tables of a non-minimal presentation are those of its cokernel."""
-    pt = tmp_path / "pt3.emat"
-    pt.write_text(POINT_N3)
-    unit = tmp_path / "unit.emat"
-    unit.write_text(UNIT_AND_REPEAT)
-    code, out, _ = run(capsys, *[a.format(cubic=cubic_file, pt=str(pt), unit=str(unit))
-                                 for a in argv])
+    tables of a non-minimal presentation are those of its cokernel.  The
+    quadric's alpha invariants and Hilbert check read the e_i actions of
+    coker(phi) and coker(phi-dual) and their Cartan strands, and a module
+    with generators in degrees 0 and 1 reads the block offsets of
+    `slice_presentation`."""
+    files = {"pt": POINT_N3, "unit": UNIT_AND_REPEAT, "mixed": MIXED_DEGREES}
+    paths = {"cubic": cubic_file, "quadric": str(BENCH_INPUTS / "quadric_ell3.emat")}
+    for name, text in files.items():
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    code, out, _ = run(capsys, *[a.format(**paths) for a in argv])
     assert code == 0
     assert out == want
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (dense_rank, dense_slice_matrix, free_as_vectorized, mixed_graded_maps,
-                      quotient_slice_oracle, right_mul_matrix, small_graded_maps,
-                      sorted_nonzeros, table_matrix)
+from conftest import (bumped, dense_action, dense_coker, dense_first_noncommuting, dense_rank,
+                      dense_slice_matrix, free_as_vectorized,
+                      mixed_graded_maps, quotient_slice_oracle, right_mul_matrix,
+                      small_graded_maps, sorted_nonzeros, table_matrix)
 from exttate.errors import DomainError, ParseError
 from exttate.extalg import Algebra, ExtElement, parse_element, random_element
-from exttate.efree import (FreeEModule, GradedMap, format_ematrix, parse_ematrix,
-                           vectorize_coker)
+from exttate.efree import (FreeEModule, GradedMap, VectorizedModule, format_ematrix,
+                           parse_ematrix, vectorize_coker)
 from exttate.eres import _cover_kernel, _generator_vectors
 from exttate import gfp
 
@@ -143,8 +144,47 @@ def test_vectorize_coker_matches_projection_section_rule_property(f):
         if not (m.dim(d) and m.dim(d - 1)):
             continue
         for i in range(f.alg.nvars):
-            want = gfp.matmul(quot[d - 1][0], gfp.matmul(tgt.action(i, d), quot[d][1], p), p)
-            assert np.array_equal(m.action(i, d), want), (i, d)
+            want = gfp.matmul(quot[d - 1][0],
+                              gfp.matmul(dense_action(tgt, i, d), quot[d][1], p), p)
+            assert np.array_equal(dense_action(m, i, d), want), (i, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_graded_maps(), mixed_graded_maps()))
+def test_vectorize_coker_matches_dense_nullspace_form_property(f):
+    """The cokernel's dims and actions are those of the dense
+    `gfp.nullspace`/`gfp.matmul` form, field for field: every action
+    between nonzero slices is stored, as the nonzeros of the dense one in
+    row-major order, int64 and reduced mod p."""
+    dims, actions = dense_coker(f)
+    m = vectorize_coker(f)
+    assert m.dims == dims
+    assert sorted(m.actions) == sorted(actions)
+    for key, want in actions.items():
+        r, c = np.nonzero(want)
+        rows, cols, vals = m.actions[key]
+        assert all(x.dtype == np.int64 for x in (rows, cols, vals))
+        assert np.array_equal(rows, r) and np.array_equal(cols, c), key
+        assert np.array_equal(vals, want[r, c]), key
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graded_maps(), st.data())
+def test_anticommutation_check_matches_dense_loops_property(f, data):
+    """The batched sparse check with sign -1 accepts and rejects as the
+    pairwise dense matmul loops do, naming the same first pair, on random
+    cokernels and with one entry of one action changed."""
+    m = vectorize_coker(f)
+    actions = m.actions
+    if actions and data.draw(st.booleans()):
+        actions = bumped(m, data.draw(st.sampled_from(sorted(actions))), data, f.alg.p)
+    m = VectorizedModule(m.alg, m.dims, actions)
+    want = dense_first_noncommuting(m)
+    if want is None:
+        assert m.check()
+    else:
+        with pytest.raises(DomainError, match="^%s$" % want):
+            m.check()
 
 
 @settings(max_examples=150, deadline=None)
@@ -221,8 +261,8 @@ def test_free_as_vectorized_checks():
         rows, signs = f.action_table(d)
         for i in range(alg.nvars):
             want = block_right_mul_matrix(f, i, d)
-            assert np.array_equal(f.action(i, d), want)
-            assert np.array_equal(free_as_vectorized(f).action(i, d), want), (i, d)
+            assert np.array_equal(dense_action(f, i, d), want)
+            assert np.array_equal(dense_action(free_as_vectorized(f), i, d), want), (i, d)
             cols = np.flatnonzero(rows[i] >= 0)
             assert len(cols) == np.count_nonzero(want)
             assert np.array_equal(want[rows[i, cols], cols] % alg.p, signs[i, cols] % alg.p)

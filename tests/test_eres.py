@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (dense_extend_column_basis, dense_generators, dense_kernel, free_as_vectorized,
+from conftest import (dense_action, dense_cartan_differential, dense_extend_column_basis,
+                      dense_generators, dense_kernel, free_as_vectorized,
                       module_corpus, module_regularity, module_resolution, module_resolver,
-                      quotient_by, residue_field, small_graded_maps)
+                      quotient_by, residue_field, small_graded_maps, sorted_nonzeros)
 from exttate.bgg import graded_map_homology
 from exttate.errors import DomainError, ZeroModuleError
 from exttate.extalg import Algebra, ExtElement, parse_element
@@ -17,6 +18,7 @@ from exttate.efree import FreeEModule, GradedMap, vectorize_coker
 from exttate import eres, gfp
 from exttate.eres import (CartanScanner, Resolver, alpha, alpha_hilbert_rhs, cone_extend,
                           minimal_free_resolution, resolve_kernel_steps)
+from exttate.smod import strand_faces, strand_nonzeros
 
 P = 32003
 
@@ -78,6 +80,26 @@ def test_cross_oracle_on_corpus(small_corpus):
         for i in range(5):
             for j in range(lo - i, hi - i + 1):
                 assert sc.betti(i, j) == bt.get(i, j), (i, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graded_maps())
+def test_cartan_strand_matches_dense_differential_property(phi):
+    """Every Cartan differential of a cokernel, built from the nonzeros of
+    its actions and the divided-power faces, has the nonzeros of the dense
+    block-by-block builder, field for field."""
+    m = vectorize_coker(phi)
+    nv = m.alg.nvars
+    lo, hi = m.support()
+    for i in range(1, nv + 2):
+        for d in range(lo - 1, hi + 2):
+            want = dense_cartan_differential(m, i, d)
+            r, c = np.nonzero(want)
+            got = strand_nonzeros(m, strand_faces(nv, i, divided=True), d, d - 1, m.alg.p)
+            assert all(x.dtype == np.int64 for x in got)
+            rows, cols, vals = sorted_nonzeros(*got)
+            assert np.array_equal(rows, r) and np.array_equal(cols, c), (i, d)
+            assert np.array_equal(vals, want[r, c]), (i, d)
 
 
 def test_regularity_examples():
@@ -384,7 +406,7 @@ def ambient_generators(alg, amb, ker):
         basis = dense_kernel(ker[d])[0]
         up = ker.get(d + 1)
         if up is not None:
-            rad = np.hstack([gfp.matmul(amb.action(i, d + 1), dense_kernel(up)[0], alg.p)
+            rad = np.hstack([gfp.matmul(dense_action(amb, i, d + 1), dense_kernel(up)[0], alg.p)
                              for i in range(alg.nvars)])
         else:
             rad = gfp.zeros(basis.shape[0], 0)
@@ -434,7 +456,7 @@ def monomial_action_kernel(amb, f, gens):
                 act, cur = gfp.eye(dim(g)), g
                 for i in range(alg.nvars):
                     if mask & (1 << i):
-                        act = gfp.matmul(amb.action(i, cur), act, alg.p)
+                        act = gfp.matmul(dense_action(amb, i, cur), act, alg.p)
                         cur -= 1
                 cols.append(gfp.matmul(act, v.reshape(-1, 1), alg.p))
         if cols:
@@ -491,12 +513,13 @@ def dense_cover_kernel(amb, f, gens):
         if above is not None:
             done = np.zeros(n, dtype=bool)
             for i in reversed(range(alg.nvars)):
-                rows, cols = np.nonzero(f.action(i, d + 1))
+                rows, cols = np.nonzero(dense_action(f, i, d + 1))
                 fresh = ~done[rows]
                 rows, cols = rows[fresh], cols[fresh]
                 if rows.size:
                     done[rows] = True
-                    parts.append((rows, gfp.matmul(amb.action(i, d + 1), above[:, cols], alg.p)))
+                    parts.append((rows, gfp.matmul(dense_action(amb, i, d + 1), above[:, cols],
+                                                   alg.p)))
         above = gfp.zeros(parts[0][1].shape[0], n)
         for cols, block in parts:
             above[:, cols] = block

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import table_matrix
+from conftest import left_mul_matrix, table_matrix
 from exttate.extalg import (Algebra, ExtElement, format_element, mono_mul,
                             parse_element, random_element)
 from exttate.smod import PolyRing
@@ -41,19 +41,17 @@ def test_field_context_requires_prime():
 
 def test_ring_tables_shared_per_n_p():
     """Equal rings share one cached table; the shared arrays are read-only."""
-    mat = Algebra(3, 101).left_mul_matrix(0b101, -1)
-    assert mat is Algebra(3, 101).left_mul_matrix(0b101, -1)
+    left = Algebra(3, 101).left_mul_nonzeros(0b101, -1)
+    assert left is Algebra(3, 101).left_mul_nonzeros(0b101, -1)
     right = Algebra(3, 101).right_mul_table(-1)
     assert right is Algebra(3, 101).right_mul_table(-1)
     assert PolyRing(2, 101).basis(3) is PolyRing(2, 101).basis(3)
     assert PolyRing(2, 101).index(3) is PolyRing(2, 101).index(3)
     assert hash(PolyRing(2, 101)) == hash(PolyRing(2, 101))
     assert Algebra(3, 101).basis(-2) != Algebra(2, 101).basis(-2)
-    with pytest.raises(ValueError):
-        mat[0, 0] = 1
-    for table in right:
+    for table in left + right:
         with pytest.raises(ValueError):
-            table[0, 0] = 1
+            table[..., 0] = 1
 
 
 def test_mono_mul_signs():
@@ -162,7 +160,7 @@ def test_right_left_mul_matrices_consistent():
             for i in range(alg.nvars):
                 right = table_matrix(*alg.right_mul_table(d), i, alg.dim(d - 1))
                 for mat, prod in ((right, x * E(alg, i)),
-                                  (alg.left_mul_matrix(1 << i, d), E(alg, i) * x)):
+                                  (left_mul_matrix(alg, 1 << i, d), E(alg, i) * x)):
                     got = np.mod(mat @ v, alg.p)
                     if prod.is_zero:
                         assert not got.any()

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (dense_koszul_differential, free_presentation, quotient_slice_oracle,
-                      random_s_presentation, random_sliced_module, sliced_corpus,
-                      sorted_nonzeros)
+from conftest import (bumped, dense_action, dense_first_noncommuting, dense_koszul_differential,
+                      free_presentation, nonzeros,
+                      quotient_slice_oracle, random_s_presentation, random_sliced_module,
+                      sliced_corpus, sorted_nonzeros)
 from exttate.errors import DomainError, ParseError, WindowError
 from exttate.smod import (PolyRing, SPresentation, SlicedModule, extend_variable,
                           koszul_betti, parse_poly, parse_smod, reg_S, shift_grading,
@@ -84,14 +85,33 @@ def test_hilbert_additivity():
 
 def test_commutativity_validated():
     good = free_sliced(1, (0, 2))
-    mult = {(i, d): good.action(i, d) for i in range(2) for d in range(0, 2)}
-    SlicedModule(good.ring, (0, 2), dict(good.dims), mult)  # passes the check
-    bad = dict(mult)
-    corrupt = bad[(1, 1)].copy()
+    SlicedModule(good.ring, (0, 2), dict(good.dims), good.actions)  # passes the check
+    corrupt = dense_action(good, 1, 1)
     corrupt[0, 0] = (corrupt[0, 0] + 1) % P
-    bad[(1, 1)] = corrupt
-    with pytest.raises(DomainError):
-        SlicedModule(good.ring, (0, 2), dict(good.dims), bad)
+    with pytest.raises(DomainError, match="x_0 and x_1 fail to commute from degree 0"):
+        SlicedModule(good.ring, (0, 2), dict(good.dims),
+                     {**good.actions, (1, 1): nonzeros(corrupt)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2), st.sampled_from([2, 3, 101]), st.integers(0, 2 ** 32 - 1), st.data())
+def test_commutation_check_matches_dense_loops_property(n, p, seed, data):
+    """The batched sparse check accepts and rejects as the pairwise dense
+    matmul loops do, naming the same first pair, on random modules as
+    sliced and with one entry of one action changed."""
+    m = random_sliced_module(np.random.default_rng(seed), n, p)
+    keys = [(i, d) for d in range(m.lo, m.hi) if m.dim(d) and m.dim(d + 1)
+            for i in range(m.ring.nvars)]
+    actions = m.actions
+    if keys and data.draw(st.booleans()):
+        actions = bumped(m, data.draw(st.sampled_from(keys)), data, p)
+    m = SlicedModule(m.ring, m.window(), m.dims, actions, check=False)
+    want = dense_first_noncommuting(m)
+    if want is None:
+        assert m.check_commutativity() and m.checked
+    else:
+        with pytest.raises(DomainError, match="^%s$" % want):
+            m.check_commutativity()
 
 
 def test_koszul_betti_residue_field():
@@ -147,25 +167,6 @@ def test_reg_S_builds_each_koszul_differential_once(monkeypatch):
         SPresentation.quotient(ring, [parse_poly(ring, "x0^3 + x1^3 + x2^3")]), (0, 8))
     assert reg_S(cubic) == 2
     assert built and len(built) == len(set(built))
-
-
-def test_koszul_differentials_find_each_action_nonzeros_once(monkeypatch):
-    """Every Koszul degree i out of slice d reads the nonzeros of each x_t
-    action on it; the module finds them once per (t, d)."""
-    ring = PolyRing(2, P)
-    cubic = slice_presentation(
-        SPresentation.quotient(ring, [parse_poly(ring, "x0^3 + x1^3 + x2^3")]), (0, 8))
-    read = []
-    action = SlicedModule.action
-
-    def counting(self, i, d):
-        read.append((i, d))
-        return action(self, i, d)
-
-    monkeypatch.setattr(SlicedModule, "action", counting)
-    assert reg_S(cubic) == 2
-    assert read and len(read) == len(set(read))
-    assert all(cubic.action_nonzeros(t, d) is cubic.action_nonzeros(t, d) for t, d in read)
 
 
 corpus_at = functools.cache(sliced_corpus)
@@ -286,7 +287,7 @@ def assert_slice_presentation_matches_oracle(pres, window):
         for i in range(pres.ring.nvars):
             want = gfp.matmul(quot[d + 1][0],
                               gfp.matmul(shift_matrix(pres, d, i), quot[d][1], p), p)
-            assert np.array_equal(m.action(i, d), want), (i, d)
+            assert np.array_equal(dense_action(m, i, d), want), (i, d)
 
 
 @settings(max_examples=100, deadline=None)
@@ -338,7 +339,7 @@ def test_extend_variable():
     assert e.ring.n == 3
     assert e.hilbert() == cubic.hilbert()
     for d in range(0, 5):
-        assert not e.action(3, d).any()
+        assert not e.action_nonzeros(3, d)[0].size
     e.check_commutativity()
 
 

@@ -12,6 +12,7 @@ from exttate.cli import main
 from exttate.errors import DomainError
 from exttate.extalg import Algebra, parse_element
 from exttate.efree import FreeEModule, GradedMap, vectorize_coker
+from exttate.eres import CartanScanner, Resolver
 from exttate.smod import (PolyRing, SPresentation, extend_variable, parse_poly,
                           shift_grading, slice_presentation)
 from exttate.tate import (CohomologyTable, TateWindow, cohomology_table, descent,
@@ -105,6 +106,27 @@ def test_cohomology_ranks_from_nonzeros(monkeypatch, capsys):
         assert calls.count("slice_matrix") == calls.count("echelon") == 0, path.name
         assert calls.count("rank") > 30, path.name
     capsys.readouterr()
+
+
+def test_module_actions_need_no_dense_arithmetic(monkeypatch, capsys):
+    """Module actions are held as nonzeros from end to end: with the dense
+    `gfp.matmul`, `gfp.nullspace` and `gfp.zeros` made to raise, `cohomology`
+    of a bench input still runs, and so do the cokernel of a point and its
+    Cartan strands, whose Betti numbers are the Resolver's."""
+    def refuse(*args):
+        raise AssertionError("dense arithmetic")
+
+    for name in ("matmul", "nullspace", "zeros"):
+        monkeypatch.setattr(gfp, name, refuse)
+    path = Path(__file__).parents[1] / "bench" / "inputs" / "twisted_cubic.smod"
+    assert main(["cohomology", "--module", str(path), "--format", "json",
+                 "--window", "-4..6"]) == 0
+    assert CohomologyTable.from_json(capsys.readouterr().out).get(0, 1) == 4
+    phi = point_sheaf_phi().dual()
+    scanner = CartanScanner(vectorize_coker(phi))
+    betti = Resolver.of_presentation(phi).extend(3).betti_table()
+    assert [scanner.betti(i, j) for i in range(4) for j in range(-5, 3)] == \
+        [betti.get(i, j) for i in range(4) for j in range(-5, 3)]
 
 
 def test_lemma_reg_bounds_on_window():
